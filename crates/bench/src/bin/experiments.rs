@@ -16,7 +16,7 @@ use cqa_constraints::{
     builders, c, graph, insertion_allowed, is_consistent, satisfies_via_projection, v, CmpOp,
     Constraint, Ic, IcSet,
 };
-use cqa_core::{classic, ProgramStyle, RepairConfig, RepairSemantics};
+use cqa_core::{classic, ProgramStyle, QueryNullSemantics, RepairConfig, RepairSemantics};
 use cqa_relational::display::{instance_set, instance_tables};
 use cqa_relational::{i, null, s, Instance, Schema, Tuple, Value};
 use std::sync::Arc;
@@ -527,11 +527,13 @@ fn e11() {
         let classic_count = classic::repairs_with_domain(&d, &ics, &domain, 1 << 22)
             .unwrap()
             .len();
-        let null_count = cqa_core::repairs(&d, &ics).unwrap().len();
+        let null_count = cqa_core::repairs(&d, &ics, RepairConfig::default())
+            .unwrap()
+            .len();
         println!("| {k} | {classic_count} | {null_count} |");
     }
     println!("\nthe two null-based repairs (paper's Example 15):");
-    for r in cqa_core::repairs(&d, &ics).unwrap() {
+    for r in cqa_core::repairs(&d, &ics, RepairConfig::default()).unwrap() {
         println!("  {}", instance_set(&r));
     }
 }
@@ -559,7 +561,7 @@ fn e12() {
         .finish()
         .unwrap();
     let ics = IcSet::new([Constraint::from(psi1), Constraint::from(psi2)]);
-    let reps = cqa_core::repairs(&d, &ics).unwrap();
+    let reps = cqa_core::repairs(&d, &ics, RepairConfig::default()).unwrap();
     println!("paper: D1 = {{}}, D2 = {{P(a,c), Q(a,null)}}\nmeasured:");
     for r in &reps {
         println!("  {}", instance_set(r));
@@ -594,7 +596,7 @@ fn e13() {
         .unwrap();
     let ics = IcSet::new([Constraint::from(ric)]);
     println!("paper: two repairs, D1 with R(b,null), D2 deleting P(b,c)\nmeasured:");
-    for r in cqa_core::repairs(&d, &ics).unwrap() {
+    for r in cqa_core::repairs(&d, &ics, RepairConfig::default()).unwrap() {
         println!("  {}", instance_set(&r));
     }
     let d3 = d.with_atom(&cqa_relational::DatabaseAtom::new(
@@ -648,7 +650,7 @@ fn e14() {
         graph::is_ric_acyclic(&ics)
     );
     println!("paper: exactly 4 repairs (its table on p.13)\nmeasured:");
-    let reps = cqa_core::repairs(&d, &ics).unwrap();
+    let reps = cqa_core::repairs(&d, &ics, RepairConfig::default()).unwrap();
     for r in &reps {
         let delta = cqa_relational::delta(&d, r).unwrap();
         println!("  {} (Δ size {})", instance_set(r), delta.len());
@@ -689,7 +691,7 @@ fn e15() {
     );
     let (_, d, ics) = example19_setup();
     println!("paper: D1..D4 (p.13)\nmeasured:");
-    for r in cqa_core::repairs(&d, &ics).unwrap() {
+    for r in cqa_core::repairs(&d, &ics, RepairConfig::default()).unwrap() {
         println!("  {}", instance_set(&r));
     }
 }
@@ -724,9 +726,9 @@ fn e16() {
     );
     println!(
         "null-based semantics refuses: {}",
-        cqa_core::repairs(&d, &ics).is_err()
+        cqa_core::repairs(&d, &ics, RepairConfig::default()).is_err()
     );
-    let repd = cqa_core::repairs_with_config(
+    let repd = cqa_core::repairs(
         &d,
         &ics,
         RepairConfig {
@@ -808,8 +810,9 @@ fn e18() {
         let dm = cqa_core::program::extract_instance(&sc, &program, &gp, m).unwrap();
         println!("  M{} → D_M = {}", idx + 1, instance_set(&dm));
     }
-    let via_program = cqa_core::repairs_via_program(&d, &ics, ProgramStyle::PaperExact).unwrap();
-    let via_engine = cqa_core::repairs(&d, &ics).unwrap();
+    let via_program =
+        cqa_core::repairs_via_program(&d, &ics, ProgramStyle::PaperExact, false).unwrap();
+    let via_engine = cqa_core::repairs(&d, &ics, RepairConfig::default()).unwrap();
     println!(
         "Theorem 4 (models ↔ repairs): {}",
         if via_program == via_engine {
@@ -843,7 +846,7 @@ fn e18b() {
         is_consistent(&d, &ics)
     );
     for style in [ProgramStyle::PaperExact, ProgramStyle::Corrected] {
-        let reps = cqa_core::repairs_via_program(&d, &ics, style).unwrap();
+        let reps = cqa_core::repairs_via_program(&d, &ics, style, false).unwrap();
         println!("{style:?}: {} model-instances:", reps.len());
         for r in &reps {
             println!("  {}", instance_set(r));
@@ -925,7 +928,7 @@ fn e20() {
     println!("|---|---|---|---|");
     for (clean, conflicts) in [(1usize, 1usize), (2, 1), (3, 1), (1, 2)] {
         let w = cqa_bench::fd_workload(clean, conflicts, 11);
-        let reps = cqa_core::repairs(&w.instance, &w.ics).unwrap();
+        let reps = cqa_core::repairs(&w.instance, &w.ics, RepairConfig::default()).unwrap();
         let universe = cqa_core::bruteforce::candidate_universe(&w.instance, &w.ics);
         if universe.len() > 18 {
             println!(
@@ -968,6 +971,7 @@ fn e21() {
             &q,
             RepairConfig::default(),
             AnswerSemantics::IncludeNullAnswers,
+            QueryNullSemantics::NullAsValue,
         )
         .unwrap();
         let t_direct = t0.elapsed();
@@ -982,7 +986,9 @@ fn e21() {
         .unwrap();
         let t_program = t1.elapsed();
         assert_eq!(direct, via);
-        let n_reps = cqa_core::repairs(&w.instance, &w.ics).unwrap().len();
+        let n_reps = cqa_core::repairs(&w.instance, &w.ics, RepairConfig::default())
+            .unwrap()
+            .len();
         println!("| {clean} | {conflicts} | {n_reps} | {t_direct:?} | {t_program:?} |");
     }
     println!("\n(the conflict axis drives repair count exponentially — the Π₂ᵖ");
@@ -1025,7 +1031,7 @@ fn e23() {
     let mut checked = 0;
     for seed in 0..20u64 {
         let w = cqa_bench::example19_scaled(3, 1, 1, seed);
-        let reps = cqa_core::repairs(&w.instance, &w.ics).unwrap();
+        let reps = cqa_core::repairs(&w.instance, &w.ics, RepairConfig::default()).unwrap();
         let mut allowed = w.instance.active_domain();
         allowed.extend(w.ics.constants());
         allowed.insert(Value::Null);
@@ -1092,8 +1098,8 @@ fn e25() {
         let full = cqa_core::repair_program(&d, &ics, ProgramStyle::Corrected).unwrap();
         let pruned =
             cqa_core::repair_program_with(&d, &ics, ProgramStyle::Corrected, true).unwrap();
-        let same = cqa_core::repairs_via_program(&d, &ics, ProgramStyle::Corrected).unwrap()
-            == cqa_core::repairs_via_program_with(&d, &ics, ProgramStyle::Corrected, true).unwrap();
+        let same = cqa_core::repairs_via_program(&d, &ics, ProgramStyle::Corrected, false).unwrap()
+            == cqa_core::repairs_via_program(&d, &ics, ProgramStyle::Corrected, true).unwrap();
         println!(
             "| 2+{extra} | {} | {} | {} |",
             full.rules().len(),

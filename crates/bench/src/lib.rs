@@ -222,6 +222,7 @@ pub fn schema_of(w: &Workload) -> Arc<Schema> {
 mod tests {
     use super::*;
     use cqa_constraints::{is_consistent, violations, SatMode};
+    use cqa_core::RepairConfig;
 
     #[test]
     fn fd_workload_violation_count() {
@@ -243,7 +244,7 @@ mod tests {
     fn example19_scaled_matches_repair_count() {
         // one key conflict (2 choices) × one dangling FK (2 choices) = 4.
         let w = example19_scaled(5, 1, 1, 7);
-        let reps = cqa_core::repairs(&w.instance, &w.ics).unwrap();
+        let reps = cqa_core::repairs(&w.instance, &w.ics, RepairConfig::default()).unwrap();
         assert_eq!(reps.len(), 4);
     }
 
@@ -261,7 +262,7 @@ mod tests {
     fn chain_workload_is_ric_acyclic_and_repairable() {
         let w = chain_workload(4, 2);
         assert!(cqa_constraints::graph::is_ric_acyclic(&w.ics));
-        let reps = cqa_core::repairs(&w.instance, &w.ics).unwrap();
+        let reps = cqa_core::repairs(&w.instance, &w.ics, RepairConfig::default()).unwrap();
         // each seed independently: delete or chase through the chain
         assert_eq!(reps.len(), 4); // 2 seeds × 2 choices… minimised set
     }

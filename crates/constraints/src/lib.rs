@@ -52,6 +52,6 @@ pub use graph::{contracted_dependency_graph, dependency_graph, DependencyGraph};
 pub use incremental::{violation_active, violations_touching};
 pub use relevant::RelevantAttrs;
 pub use satisfaction::{
-    check_instance, first_violation, first_violation_naive, insertion_allowed, is_consistent,
-    satisfies_via_projection, violations, violations_naive, SatMode, Violation, ViolationKind,
+    check_instance, first_violation, insertion_allowed, is_consistent, satisfies_via_projection,
+    violations, violations_naive, SatMode, Violation, ViolationKind,
 };

@@ -146,15 +146,6 @@ pub fn violations_naive(instance: &Instance, ics: &IcSet, mode: SatMode) -> Vec<
     out
 }
 
-/// First violation by the naive full-scan evaluator (oracle; also the
-/// "seed behaviour" baseline of the repair-engine benchmarks).
-pub fn first_violation_naive(instance: &Instance, ics: &IcSet, mode: SatMode) -> Option<Violation> {
-    match for_each_violation(instance, ics, mode, ControlFlow::Break) {
-        ControlFlow::Break(v) => Some(v),
-        ControlFlow::Continue(()) => None,
-    }
-}
-
 fn for_each_violation_indexed<B>(
     instance: &Instance,
     ics: &IcSet,

@@ -32,12 +32,12 @@
 //! *size-aware* budget instead of an entry count — each entry weighs its
 //! ground program's `atoms + rules`, and least-recently-used entries are
 //! evicted until the summed weight fits (the most recent entry always
-//! survives, even oversized). Both live behind a [`CqaCaches`] bundle.
-//! The process-wide [`global`] bundle is the default every free function
-//! uses — existing call sites keep their behaviour — while the `Database`
-//! facade owns a bundle per database, so many tenants in one process
-//! cannot evict each other's scans (ROADMAP "Worklist-cache scope"; the
-//! per-tenant test pins this).
+//! survives, even oversized). Both live behind a [`CqaCaches`] bundle
+//! that the caller owns: the `Database` facade keeps one per database, so
+//! many tenants in one process cannot evict each other's scans (the
+//! per-tenant test in `tests/caches.rs` pins this), and the one-shot
+//! entry points (`repairs`, `consistent_answers`, …) build a fresh one
+//! per call. There is no process-wide bundle.
 
 use crate::error::{CoreError, InterruptPhase};
 use crate::program::{repair_program_with, ProgramStyle};
@@ -45,7 +45,7 @@ use cqa_asp::{GroundingState, SolverState, SolverStateStats};
 use cqa_constraints::{violations, IcSet, SatMode, Violation};
 use cqa_relational::{CancelToken, Instance, InstanceDelta};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Capacity of the worklist cache (entries, LRU eviction).
 const CACHE_CAP: usize = 8;
@@ -233,25 +233,16 @@ impl GroundingCache {
     /// extension path clones the state before mutating). Same version →
     /// hit; bounded drift → incremental reground (any mix of insertions
     /// and deletions); oversized drift or schema change → rebuild.
-    pub(crate) fn state_for(
-        &self,
-        d: &Instance,
-        ics: &IcSet,
-        style: ProgramStyle,
-        prune: bool,
-    ) -> Result<Arc<GroundingState>, CoreError> {
-        self.state_for_governed(d, ics, style, prune, &CancelToken::never())
-    }
-
-    /// [`GroundingCache::state_for`] under a cancellation token. The
-    /// exact-version hit path is O(1) and never polls; the rebuild and
-    /// incremental-reground paths run their propagation loops governed. A
-    /// trip mid-grounding *poisons* the in-flight state (the in-place
-    /// update cannot unwind soundly), which is then discarded — never
-    /// cached — and surfaces as [`CoreError::Interrupted`] with
-    /// `phase = Grounding`, `partial = 0`: a partial grounding supports
-    /// no sound conclusions. The stale entry was already detached from
-    /// the cache, so a later call simply rebuilds from scratch.
+    ///
+    /// Governed by `cancel`: the exact-version hit path is O(1) and never
+    /// polls; the rebuild and incremental-reground paths run their
+    /// propagation loops governed. A trip mid-grounding *poisons* the
+    /// in-flight state (the in-place update cannot unwind soundly), which
+    /// is then discarded — never cached — and surfaces as
+    /// [`CoreError::Interrupted`] with `phase = Grounding`, `partial = 0`:
+    /// a partial grounding supports no sound conclusions. The stale entry
+    /// was already detached from the cache, so a later call simply
+    /// rebuilds from scratch.
     pub(crate) fn state_for_governed(
         &self,
         d: &Instance,
@@ -456,8 +447,7 @@ fn evolve(
 }
 
 /// The two caches bundled: what a `Database` facade owns, and what the
-/// process-wide default provides to the free functions. The bundle also
-/// carries the fast-path planner's routing counters
+/// `*_governed` entry points take. The bundle also carries the fast-path planner's routing counters
 /// ([`crate::plan::PlannerCounters`]) so each tenant observes which
 /// engine answered its own queries.
 #[derive(Debug, Default)]
@@ -505,20 +495,9 @@ pub fn warm_caches_in(
     style: ProgramStyle,
     caches: &CqaCaches,
 ) -> Result<(), CoreError> {
-    let _ = caches.grounding.state_for(d, ics, style, false)?;
+    let _ = caches
+        .grounding
+        .state_for_governed(d, ics, style, false, &CancelToken::never())?;
     let _ = caches.worklist.root_worklist(d, ics);
     Ok(())
-}
-
-/// The process-wide default bundle, used by every free function that is
-/// not handed an explicit one.
-pub fn global() -> &'static CqaCaches {
-    static GLOBAL: OnceLock<CqaCaches> = OnceLock::new();
-    GLOBAL.get_or_init(CqaCaches::new)
-}
-
-/// Lifetime counters of the process-wide default grounding cache.
-/// Meaningful as before/after deltas.
-pub fn grounding_cache_stats() -> GroundingCacheStats {
-    global().grounding.stats()
 }

@@ -3,18 +3,24 @@
 //!
 //! Two engines, which must agree (and are tested against each other):
 //!
-//! * [`consistent_answers`] — materialise the repairs with the decision
-//!   engine and intersect the query answers;
+//! * [`consistent_answers`] — plan first ([`crate::plan`]), else
+//!   materialise the repairs with the decision engine and intersect the
+//!   query answers ([`consistent_answers_enumerated`] skips the planner);
 //! * [`consistent_answers_via_program`] — append query rules over the
 //!   `t**` predicates to Π(D, IC) and take the cautious consequences of
 //!   the stable models (the paper's Section 5 pipeline; Theorem 4 makes
 //!   the two coincide for RIC-acyclic sets).
+//!
+//! Each operation has two spellings: the one-shot form builds a fresh
+//! [`CqaCaches`] bundle and runs without a deadline; the `*_governed`
+//! form takes the caller's bundle and [`CancelToken`], which is what the
+//! `Database` facade passes.
 
 use crate::cache::CqaCaches;
 use crate::engine::{repairs_with_config_governed, RepairConfig, SearchStrategy};
 use crate::error::{CoreError, InterruptPhase};
 use crate::program::{annotated, ProgramStyle};
-use crate::query::{AnswerSemantics, QTerm, Query};
+use crate::query::{AnswerSemantics, QTerm, Query, QueryNullSemantics};
 use cqa_asp::{atom, cmp, neg, pos, tc, tv, AspError, BodyLit, BuiltinOp};
 use cqa_constraints::IcSet;
 use cqa_relational::{CancelToken, Instance, Tuple};
@@ -48,61 +54,18 @@ impl AnswerSet {
     }
 }
 
-/// Consistent answers by repair enumeration + intersection, under the
-/// default (null-as-value) query evaluation.
+/// Consistent answers (Definition 8), one-shot: a fresh [`CqaCaches`]
+/// bundle and no deadline. Every knob is exposed: repair configuration,
+/// answer-tuple filtering, and the query-evaluation null semantics
+/// (`|=q_N` — the paper's Section 7(a) extension point). Plan-first, like
+/// [`consistent_answers_governed`].
 pub fn consistent_answers(
     d: &Instance,
     ics: &IcSet,
     query: &Query,
     config: RepairConfig,
     semantics: AnswerSemantics,
-) -> Result<AnswerSet, CoreError> {
-    consistent_answers_full(
-        d,
-        ics,
-        query,
-        config,
-        semantics,
-        crate::query::QueryNullSemantics::NullAsValue,
-    )
-}
-
-/// Consistent answers with every knob exposed: repair configuration,
-/// answer-tuple filtering, and the query-evaluation null semantics
-/// (`|=q_N` — the paper's Section 7(a) extension point).
-pub fn consistent_answers_full(
-    d: &Instance,
-    ics: &IcSet,
-    query: &Query,
-    config: RepairConfig,
-    semantics: AnswerSemantics,
-    query_semantics: crate::query::QueryNullSemantics,
-) -> Result<AnswerSet, CoreError> {
-    consistent_answers_full_in(
-        d,
-        ics,
-        query,
-        config,
-        semantics,
-        query_semantics,
-        crate::cache::global(),
-    )
-}
-
-/// [`consistent_answers_full`] against an explicit cache bundle. Under
-/// [`SearchStrategy::Parallel`] the per-repair query evaluation and
-/// intersection fan out over the same worker count as the repair search
-/// (chunked evaluation, then an ordered intersection of the chunk
-/// results); a cross-chunk flag stops all workers once any partial
-/// intersection is empty. Output is identical to the serial loop.
-pub fn consistent_answers_full_in(
-    d: &Instance,
-    ics: &IcSet,
-    query: &Query,
-    config: RepairConfig,
-    semantics: AnswerSemantics,
-    query_semantics: crate::query::QueryNullSemantics,
-    caches: &CqaCaches,
+    query_semantics: QueryNullSemantics,
 ) -> Result<AnswerSet, CoreError> {
     consistent_answers_governed(
         d,
@@ -111,14 +74,19 @@ pub fn consistent_answers_full_in(
         config,
         semantics,
         query_semantics,
-        caches,
+        &CqaCaches::new(),
         &CancelToken::never(),
     )
 }
 
-/// [`consistent_answers_full_in`] under a cancellation token: the repair
-/// search polls it per node, and the per-repair evaluation loop polls it
-/// per repair (serial and chunked alike). An interrupt there surfaces as
+/// [`consistent_answers`] against the caller's cache bundle and under a
+/// cancellation token: the repair search polls it per node, and the
+/// per-repair evaluation loop polls it per repair (serial and chunked
+/// alike). Under [`SearchStrategy::Parallel`] the per-repair query
+/// evaluation and intersection fan out over the same worker count as the
+/// repair search (chunked evaluation, then an ordered intersection of the
+/// chunk results); a cross-chunk flag stops all workers once any partial
+/// intersection is empty. An interrupt in evaluation surfaces as
 /// [`CoreError::Interrupted`] with `phase = QueryEvaluation` and
 /// `partial` counting the repairs whose answers were fully intersected —
 /// the running intersection itself is not returned, since it only
@@ -130,7 +98,7 @@ pub fn consistent_answers_full_in(
 /// chase classification). Answers are identical either way — only the
 /// resource-limit semantics differ: the fast paths never consult
 /// [`RepairConfig::node_budget`]. Use [`consistent_answers_enumerated`]
-/// (or its governed variant) to force the enumeration route, e.g. as the
+/// (or its governed form) to force the enumeration route, e.g. as the
 /// oracle in planner tests.
 #[allow(clippy::too_many_arguments)]
 pub fn consistent_answers_governed(
@@ -139,7 +107,7 @@ pub fn consistent_answers_governed(
     query: &Query,
     config: RepairConfig,
     semantics: AnswerSemantics,
-    query_semantics: crate::query::QueryNullSemantics,
+    query_semantics: QueryNullSemantics,
     caches: &CqaCaches,
     cancel: &CancelToken,
 ) -> Result<AnswerSet, CoreError> {
@@ -167,18 +135,18 @@ pub fn consistent_answers_governed(
     )
 }
 
-/// [`consistent_answers_full`] with the fast-path planner bypassed: the
+/// [`consistent_answers`] with the fast-path planner bypassed: the
 /// answer always comes from repair enumeration + intersection. The
 /// planner-vs-oracle test suite relies on this to compare both engines on
 /// the *same* dispatchable inputs; production callers want
-/// [`consistent_answers_full`] instead.
+/// [`consistent_answers`] instead. One-shot, like [`consistent_answers`].
 pub fn consistent_answers_enumerated(
     d: &Instance,
     ics: &IcSet,
     query: &Query,
     config: RepairConfig,
     semantics: AnswerSemantics,
-    query_semantics: crate::query::QueryNullSemantics,
+    query_semantics: QueryNullSemantics,
 ) -> Result<AnswerSet, CoreError> {
     consistent_answers_enumerated_governed(
         d,
@@ -187,13 +155,13 @@ pub fn consistent_answers_enumerated(
         config,
         semantics,
         query_semantics,
-        crate::cache::global(),
+        &CqaCaches::new(),
         &CancelToken::never(),
     )
 }
 
-/// [`consistent_answers_enumerated`] with explicit caches and a
-/// cancellation token — the repair-enumeration body that
+/// [`consistent_answers_enumerated`] against the caller's cache bundle
+/// and under a cancellation token — the repair-enumeration body that
 /// [`consistent_answers_governed`] falls through to when the planner
 /// declines.
 #[allow(clippy::too_many_arguments)]
@@ -203,7 +171,7 @@ pub fn consistent_answers_enumerated_governed(
     query: &Query,
     config: RepairConfig,
     semantics: AnswerSemantics,
-    query_semantics: crate::query::QueryNullSemantics,
+    query_semantics: QueryNullSemantics,
     caches: &CqaCaches,
     cancel: &CancelToken,
 ) -> Result<AnswerSet, CoreError> {
@@ -290,7 +258,7 @@ pub fn consistent_answers_enumerated_governed(
 
 /// Consistent answers via the repair program: cautious reasoning over
 /// Π(D, IC) extended with query rules evaluated on the `t**` relations.
-/// Uses the process-wide default cache bundle.
+/// One-shot: a fresh [`CqaCaches`] bundle and no deadline.
 pub fn consistent_answers_via_program(
     d: &Instance,
     ics: &IcSet,
@@ -298,37 +266,26 @@ pub fn consistent_answers_via_program(
     style: ProgramStyle,
     semantics: AnswerSemantics,
 ) -> Result<AnswerSet, CoreError> {
-    consistent_answers_via_program_in(d, ics, query, style, semantics, crate::cache::global())
-}
-
-/// [`consistent_answers_via_program`] against an explicit cache bundle.
-/// The grounding of Π(D, IC) comes out of the cache (grounded once per
-/// instance version, regrounded incrementally on any bounded drift —
-/// insertions via the seminaive worklist, deletions via DRed) and only
-/// the per-query rules are instantiated on top of the clone.
-pub fn consistent_answers_via_program_in(
-    d: &Instance,
-    ics: &IcSet,
-    query: &Query,
-    style: ProgramStyle,
-    semantics: AnswerSemantics,
-    caches: &CqaCaches,
-) -> Result<AnswerSet, CoreError> {
     consistent_answers_via_program_governed(
         d,
         ics,
         query,
         style,
         semantics,
-        caches,
+        &CqaCaches::new(),
         &CancelToken::never(),
     )
 }
 
-/// [`consistent_answers_via_program_in`] under a cancellation token. The
-/// token governs the cached (re)grounding, the grounding of the per-query
-/// rules on the cloned state, and the cautious-consequence enumeration;
-/// the interrupt phase reports whichever stage was cut short.
+/// [`consistent_answers_via_program`] against the caller's cache bundle
+/// and under a cancellation token. The grounding of Π(D, IC) comes out of
+/// the cache (grounded once per instance version, regrounded
+/// incrementally on any bounded drift — insertions via the seminaive
+/// worklist, deletions via DRed) and only the per-query rules are
+/// instantiated on top of a clone. The token governs the cached
+/// (re)grounding, the grounding of the per-query rules on the clone, and
+/// the cautious-consequence enumeration; the interrupt phase reports
+/// whichever stage was cut short.
 pub fn consistent_answers_via_program_governed(
     d: &Instance,
     ics: &IcSet,
@@ -469,6 +426,7 @@ mod tests {
             q,
             RepairConfig::default(),
             AnswerSemantics::IncludeNullAnswers,
+            QueryNullSemantics::NullAsValue,
         )
         .unwrap();
         let via_program = consistent_answers_via_program(
@@ -601,6 +559,7 @@ mod tests {
             &q,
             RepairConfig::default(),
             AnswerSemantics::IncludeNullAnswers,
+            QueryNullSemantics::NullAsValue,
         )
         .unwrap();
         assert!(with_nulls.is_empty()); // S(u,a) deleted in one repair
@@ -615,6 +574,7 @@ mod tests {
             &q,
             RepairConfig::default(),
             AnswerSemantics::IncludeNullAnswers,
+            QueryNullSemantics::NullAsValue,
         )
         .unwrap();
         assert_eq!(incl.len(), 1);
@@ -624,6 +584,7 @@ mod tests {
             &q,
             RepairConfig::default(),
             AnswerSemantics::ExcludeNullAnswers,
+            QueryNullSemantics::NullAsValue,
         )
         .unwrap();
         assert!(excl.is_empty());
@@ -656,6 +617,7 @@ mod tests {
             &q,
             RepairConfig::default(),
             AnswerSemantics::IncludeNullAnswers,
+            QueryNullSemantics::NullAsValue,
         )
         .unwrap();
         assert_eq!(direct.tuples, q.eval(&d));
@@ -694,23 +656,23 @@ mod tests {
             .finish()
             .unwrap()
             .into();
-        let as_value = consistent_answers_full(
+        let as_value = consistent_answers(
             &d,
             &ics,
             &q,
             RepairConfig::default(),
             AnswerSemantics::IncludeNullAnswers,
-            crate::query::QueryNullSemantics::NullAsValue,
+            QueryNullSemantics::NullAsValue,
         )
         .unwrap();
         assert_eq!(as_value.len(), 1);
-        let sql_mode = consistent_answers_full(
+        let sql_mode = consistent_answers(
             &d,
             &ics,
             &q,
             RepairConfig::default(),
             AnswerSemantics::IncludeNullAnswers,
-            crate::query::QueryNullSemantics::SqlThreeValued,
+            QueryNullSemantics::SqlThreeValued,
         )
         .unwrap();
         assert!(sql_mode.is_empty()); // null = null is unknown in SQL

@@ -43,8 +43,7 @@
 //! Per-node cost is therefore bounded by the conflict neighbourhood of one
 //! change, not by instance size — the operational form of the paper's
 //! observation that repairs differ from `D` only inside the Proposition-1
-//! universe. [`SearchStrategy::FullRescan`] retains the naive per-node
-//! rescan for A/B benchmarking and as a secondary oracle.
+//! universe.
 //!
 //! The post-search pipeline is delta-based too: every fixpoint records its
 //! decision delta (which *is* Δ(D, candidate), since decisions never flip),
@@ -77,7 +76,7 @@
 //!   shared collector. After the pool drains, candidates are sorted by
 //!   path — lexicographic path order *is* sequential depth-first discovery
 //!   order — so de-duplication, `≤_D`-minimisation and materialisation see
-//!   the exact candidate sequence the single-threaded strategies produce,
+//!   the exact candidate sequence the sequential strategy produces,
 //!   and the final repair list is byte-identical at every thread count
 //!   (the property suite and the 50-run scheduling stress test pin this).
 //! * **Parallel materialisation.** Surviving repairs are materialised
@@ -87,18 +86,17 @@
 //! The root violation scan — the one remaining O(instance) step — is
 //! cached across `repairs*` calls keyed by [`Instance::version`] and the
 //! constraint set, so repeated enumeration over an unchanged instance
-//! starts from the conflict set directly. The cache lives in a
-//! [`crate::cache::CqaCaches`] bundle: the free functions use the
-//! process-wide default ([`worklist_cache_stats`]), while the `Database`
-//! facade passes its per-tenant bundle through the `*_in` variants so
-//! co-resident databases cannot evict each other's scans.
+//! starts from the conflict set directly. The cache lives in the
+//! caller's [`CqaCaches`] bundle, passed to the `*_governed` forms (the
+//! `Database` facade owns one per database). The one-shot forms
+//! [`repairs`] and [`repairs_with_trace`] build a fresh bundle per call.
 
 use crate::cache::CqaCaches;
 use crate::error::{CoreError, InterruptPhase};
 use crate::repair::minimal_delta_indices_chunked;
 use cqa_constraints::{
-    first_violation_naive, violation_active, violations_touching, Constraint, IcSet, SatMode, Term,
-    Violation, ViolationKind,
+    violation_active, violations_touching, Constraint, IcSet, SatMode, Term, Violation,
+    ViolationKind,
 };
 use cqa_relational::{CancelToken, DatabaseAtom, Delta, Instance, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -117,16 +115,12 @@ pub enum RepairSemantics {
     DeletionPreferring,
 }
 
-/// How the search finds the violation to branch on at each node.
+/// How the repair search runs: sequentially, or on a work-stealing pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchStrategy {
     /// Delta-driven worklist: per-node cost scales with conflict size.
     #[default]
     Incremental,
-    /// Naive full-instance rescan per node (the seed behaviour): retained
-    /// as an A/B baseline for the scaling benchmarks and as a secondary
-    /// oracle in tests.
-    FullRescan,
     /// The incremental worklist search distributed over a work-stealing
     /// pool of `threads` workers (see the module docs' "Parallel search
     /// architecture"). Output — repairs, traces, errors — is byte-identical
@@ -146,7 +140,7 @@ pub struct RepairConfig {
     /// Maximum number of search nodes (branches are exponential in the
     /// number of interacting violations).
     pub node_budget: usize,
-    /// Violation-finding strategy.
+    /// Sequential or parallel search.
     pub strategy: SearchStrategy,
 }
 
@@ -197,33 +191,19 @@ pub struct TracedRepair {
     pub steps: Vec<RepairStep>,
 }
 
-/// All repairs of `d` wrt `ics` under the default configuration.
-pub fn repairs(d: &Instance, ics: &IcSet) -> Result<Vec<Instance>, CoreError> {
-    repairs_with_config(d, ics, RepairConfig::default())
-}
-
-/// All repairs of `d` wrt `ics`, using the process-wide default caches.
-pub fn repairs_with_config(
+/// All repairs of `d` wrt `ics` (Definition 7), one-shot: a fresh
+/// [`CqaCaches`] bundle and no deadline. Callers that repeat calls, or
+/// need a deadline, use [`repairs_with_config_governed`].
+pub fn repairs(
     d: &Instance,
     ics: &IcSet,
     config: RepairConfig,
 ) -> Result<Vec<Instance>, CoreError> {
-    repairs_with_config_in(d, ics, config, crate::cache::global())
+    repairs_with_config_governed(d, ics, config, &CqaCaches::new(), &CancelToken::never())
 }
 
-/// [`repairs_with_config`] against an explicit cache bundle (the facade
-/// passes its per-database one).
-pub fn repairs_with_config_in(
-    d: &Instance,
-    ics: &IcSet,
-    config: RepairConfig,
-    caches: &CqaCaches,
-) -> Result<Vec<Instance>, CoreError> {
-    repairs_with_config_governed(d, ics, config, caches, &CancelToken::never())
-}
-
-/// [`repairs_with_config_in`] under a cancellation token (see
-/// [`repairs_with_trace_governed`]).
+/// [`repairs`] against the caller's cache bundle and under a
+/// cancellation token (see [`repairs_with_trace_governed`]).
 pub fn repairs_with_config_governed(
     d: &Instance,
     ics: &IcSet,
@@ -238,31 +218,21 @@ pub fn repairs_with_config_governed(
 }
 
 /// All repairs with the decision sequences that produced them
-/// (provenance; the paper's Section 7(b)/(c) hooks). Process-wide default
-/// caches.
+/// (provenance; the paper's Section 7(b)/(c) hooks), one-shot like
+/// [`repairs`].
 pub fn repairs_with_trace(
     d: &Instance,
     ics: &IcSet,
     config: RepairConfig,
 ) -> Result<Vec<TracedRepair>, CoreError> {
-    repairs_with_trace_in(d, ics, config, crate::cache::global())
+    repairs_with_trace_governed(d, ics, config, &CqaCaches::new(), &CancelToken::never())
 }
 
-/// [`repairs_with_trace`] against an explicit cache bundle.
-pub fn repairs_with_trace_in(
-    d: &Instance,
-    ics: &IcSet,
-    config: RepairConfig,
-    caches: &CqaCaches,
-) -> Result<Vec<TracedRepair>, CoreError> {
-    repairs_with_trace_governed(d, ics, config, caches, &CancelToken::never())
-}
-
-/// [`repairs_with_trace_in`] under a cancellation token. Every search
-/// node polls `cancel` (sequential and parallel strategies alike); a
-/// tripped token surfaces as [`CoreError::Interrupted`] with
-/// `phase = RepairSearch` and `partial` counting the candidate repairs
-/// collected before the interrupt.
+/// [`repairs_with_trace`] against the caller's cache bundle and under a
+/// cancellation token. Every search node polls `cancel` (sequential and
+/// parallel strategies alike); a tripped token surfaces as
+/// [`CoreError::Interrupted`] with `phase = RepairSearch` and `partial`
+/// counting the candidate repairs collected before the interrupt.
 pub fn repairs_with_trace_governed(
     d: &Instance,
     ics: &IcSet,
@@ -281,7 +251,7 @@ pub fn repairs_with_trace_governed(
                 threads,
             )
         }
-        sequential => {
+        SearchStrategy::Incremental => {
             let mut search = Search {
                 ics,
                 config,
@@ -289,19 +259,9 @@ pub fn repairs_with_trace_governed(
                 candidates: Vec::new(),
                 cancel: cancel.clone(),
             };
-            let mut decisions = BTreeMap::new();
-            let mut trace = Vec::new();
-            match sequential {
-                SearchStrategy::Incremental => {
-                    let mut work = d.clone();
-                    let worklist = caches.worklist.root_worklist(&work, ics);
-                    search.run_incremental(&mut work, worklist, &mut decisions, &mut trace)?;
-                }
-                SearchStrategy::FullRescan => {
-                    search.run_rescan(d.clone(), &mut decisions, &mut trace)?;
-                }
-                SearchStrategy::Parallel { .. } => unreachable!("handled above"),
-            }
+            let mut work = d.clone();
+            let worklist = caches.worklist.root_worklist(&work, ics);
+            search.run_incremental(&mut work, worklist, &mut BTreeMap::new(), &mut Vec::new())?;
             (search.candidates, 1)
         }
     };
@@ -368,14 +328,6 @@ fn materialise(
         };
         (key, repair)
     })
-}
-
-/// Lifetime counters of the *process-wide default* root-worklist cache,
-/// for tests and diagnostics. Meaningful as before/after deltas, not as
-/// absolute values. Per-database bundles report through
-/// [`crate::cache::WorklistCache::stats`] instead.
-pub fn worklist_cache_stats() -> crate::cache::WorklistCacheStats {
-    crate::cache::global().worklist.stats()
 }
 
 /// The symmetric difference a decision set denotes: decisions never flip
@@ -457,7 +409,7 @@ impl Search<'_> {
         let constraint_name = self.ics.constraints()[violation.constraint_index]
             .name()
             .to_string();
-        for fix in self.fixes(&violation) {
+        for fix in fixes_for(self.ics, self.config.semantics, &violation) {
             let (action, atom) = match &fix {
                 Fix::Delete(atom) => {
                     if decisions.get(atom) == Some(&Decision::Inserted) {
@@ -510,84 +462,11 @@ impl Search<'_> {
         }
         Ok(())
     }
-
-    /// The seed's naive loop: full violation rescan at every node, fork
-    /// per branch. Kept as the benchmark baseline and secondary oracle.
-    fn run_rescan(
-        &mut self,
-        current: Instance,
-        decisions: &mut BTreeMap<DatabaseAtom, Decision>,
-        trace: &mut Vec<RepairStep>,
-    ) -> Result<(), CoreError> {
-        self.charge_node()?;
-        let Some(violation) = first_violation_naive(&current, self.ics, SatMode::NullAware) else {
-            self.candidates.push((delta_of(decisions), trace.clone()));
-            return Ok(());
-        };
-        let constraint_name = self.ics.constraints()[violation.constraint_index]
-            .name()
-            .to_string();
-        for fix in self.fixes(&violation) {
-            match fix {
-                Fix::Delete(atom) => {
-                    if decisions.get(&atom) == Some(&Decision::Inserted) {
-                        continue; // protected
-                    }
-                    let fresh = !decisions.contains_key(&atom);
-                    if fresh {
-                        decisions.insert(atom.clone(), Decision::Deleted);
-                    }
-                    trace.push(RepairStep {
-                        constraint: constraint_name.clone(),
-                        action: RepairAction::Delete,
-                        atom: atom.clone(),
-                    });
-                    let next = current.without_atom(&atom);
-                    self.run_rescan(next, decisions, trace)?;
-                    trace.pop();
-                    if fresh {
-                        decisions.remove(&atom);
-                    }
-                }
-                Fix::Insert(atom) => {
-                    if decisions.get(&atom) == Some(&Decision::Deleted) {
-                        continue; // already ruled out on this branch
-                    }
-                    debug_assert!(
-                        !current.contains(&atom),
-                        "insert fix must not already be present"
-                    );
-                    let fresh = !decisions.contains_key(&atom);
-                    if fresh {
-                        decisions.insert(atom.clone(), Decision::Inserted);
-                    }
-                    trace.push(RepairStep {
-                        constraint: constraint_name.clone(),
-                        action: RepairAction::Insert,
-                        atom: atom.clone(),
-                    });
-                    let next = current.with_atom(&atom);
-                    self.run_rescan(next, decisions, trace)?;
-                    trace.pop();
-                    if fresh {
-                        decisions.remove(&atom);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The minimal fixes for a violation, in deterministic order:
-    /// deletions (body order), then insertions (head order).
-    fn fixes(&self, violation: &Violation) -> Vec<Fix> {
-        fixes_for(self.ics, self.config.semantics, violation)
-    }
 }
 
 /// The minimal fixes for a violation, in deterministic order: deletions
 /// (body order), then insertions (head order). Shared by the sequential
-/// drivers and the parallel branch scheduler — the fix *index* within this
+/// driver and the parallel branch scheduler — the fix *index* within this
 /// list is the branch-path component that pins parallel output order.
 pub(crate) fn fixes_for(
     ics: &IcSet,
@@ -678,7 +557,7 @@ mod tests {
             .into_shared();
         let d = inst(&sc, &[("P", vec![s("a"), null()])]);
         let ics = IcSet::default();
-        assert_eq!(repairs(&d, &ics).unwrap(), vec![d]);
+        assert_eq!(repairs(&d, &ics, RepairConfig::default()).unwrap(), vec![d]);
     }
 
     #[test]
@@ -706,7 +585,7 @@ mod tests {
             .finish()
             .unwrap();
         let ics = IcSet::new([Constraint::from(ric)]);
-        let reps = repairs(&d, &ics).unwrap();
+        let reps = repairs(&d, &ics, RepairConfig::default()).unwrap();
         assert_eq!(reps.len(), 2);
         let rendered = sets(&reps);
         assert!(rendered
@@ -744,7 +623,7 @@ mod tests {
             .finish()
             .unwrap();
         let ics = IcSet::new([Constraint::from(psi1), Constraint::from(psi2)]);
-        let reps = repairs(&d, &ics).unwrap();
+        let reps = repairs(&d, &ics, RepairConfig::default()).unwrap();
         let rendered = sets(&reps);
         assert_eq!(reps.len(), 2, "{rendered:?}");
         assert!(rendered.contains(&"{}".to_string()));
@@ -773,7 +652,7 @@ mod tests {
             .finish()
             .unwrap();
         let ics = IcSet::new([Constraint::from(ric)]);
-        let reps = repairs(&d, &ics).unwrap();
+        let reps = repairs(&d, &ics, RepairConfig::default()).unwrap();
         let rendered = sets(&reps);
         assert_eq!(reps.len(), 2, "{rendered:?}");
         assert!(rendered.contains(&"{P(a, null), P(b, c), R(a, b), R(b, null)}".to_string()));
@@ -809,7 +688,7 @@ mod tests {
             .finish()
             .unwrap();
         let ics = IcSet::new([Constraint::from(uic), Constraint::from(ric)]);
-        let reps = repairs(&d, &ics).unwrap();
+        let reps = repairs(&d, &ics, RepairConfig::default()).unwrap();
         let rendered = sets(&reps);
         assert_eq!(reps.len(), 4, "{rendered:?}");
         assert!(rendered.contains(&"{P(null, a), P(null, c), P(a, b), T(a), T(c)}".to_string()));
@@ -840,7 +719,7 @@ mod tests {
         ics.push(builders::functional_dependency(&sc, "R", &[0], 1).unwrap());
         ics.push(builders::foreign_key(&sc, "S", &[1], "R", &[0]).unwrap());
         ics.push(builders::not_null(&sc, "R", 0).unwrap());
-        let reps = repairs(&d, &ics).unwrap();
+        let reps = repairs(&d, &ics, RepairConfig::default()).unwrap();
         let rendered = sets(&reps);
         assert_eq!(reps.len(), 4, "{rendered:?}");
         assert!(rendered.contains(&"{R(a, b), R(f, null), S(null, a), S(e, f)}".to_string()));
@@ -875,10 +754,10 @@ mod tests {
         ics.push(ric);
         ics.push(builders::not_null(&sc, "Q", 1).unwrap());
         assert!(matches!(
-            repairs(&d, &ics),
+            repairs(&d, &ics, RepairConfig::default()),
             Err(CoreError::ConflictingConstraints(_))
         ));
-        let reps = repairs_with_config(
+        let reps = repairs(
             &d,
             &ics,
             RepairConfig {
@@ -891,7 +770,7 @@ mod tests {
         assert_eq!(sets(&reps), vec!["{P(b), Q(b, c)}".to_string()]);
         // The deletion-preferring semantics go through the parallel
         // scheduler unchanged (conflicting sets are accepted there too).
-        let parallel = repairs_with_config(
+        let parallel = repairs(
             &d,
             &ics,
             RepairConfig {
@@ -928,7 +807,7 @@ mod tests {
             .finish()
             .unwrap();
         let ics = IcSet::new([Constraint::from(ic1), Constraint::from(ic2)]);
-        let reps = repairs(&d, &ics).unwrap();
+        let reps = repairs(&d, &ics, RepairConfig::default()).unwrap();
         let rendered = sets(&reps);
         assert_eq!(
             rendered,
@@ -954,7 +833,7 @@ mod tests {
             .finish()
             .unwrap();
         let ics = IcSet::new([Constraint::from(ic)]);
-        let err = repairs_with_config(
+        let err = repairs(
             &d,
             &ics,
             RepairConfig {
@@ -1015,9 +894,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_rescan_strategies_agree() {
-        // Same repairs from the worklist search and the naive per-node
-        // rescan, across the paper's interacting-constraint shapes.
+    fn incremental_and_parallel_strategies_agree() {
+        // Same repairs from the sequential worklist search and the
+        // work-stealing pool, across the paper's interacting-constraint
+        // shapes.
         let sc = Schema::builder()
             .relation("P", ["a", "b"])
             .relation("T", ["t"])
@@ -1043,28 +923,10 @@ mod tests {
             .finish()
             .unwrap();
         let ics = IcSet::new([Constraint::from(uic), Constraint::from(ric)]);
-        let incremental = repairs_with_config(
-            &d,
-            &ics,
-            RepairConfig {
-                strategy: SearchStrategy::Incremental,
-                ..RepairConfig::default()
-            },
-        )
-        .unwrap();
-        let rescan = repairs_with_config(
-            &d,
-            &ics,
-            RepairConfig {
-                strategy: SearchStrategy::FullRescan,
-                ..RepairConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(incremental, rescan);
+        let incremental = repairs(&d, &ics, RepairConfig::default()).unwrap();
         assert_eq!(incremental.len(), 4);
         for threads in [1usize, 2, 4] {
-            let parallel = repairs_with_config(
+            let parallel = repairs(
                 &d,
                 &ics,
                 RepairConfig {
@@ -1134,7 +996,7 @@ mod tests {
             .finish()
             .unwrap();
         let ics = IcSet::new([Constraint::from(ic)]);
-        let err = repairs_with_config(
+        let err = repairs(
             &d,
             &ics,
             RepairConfig {
@@ -1154,7 +1016,7 @@ mod tests {
             .unwrap()
             .into_shared();
         let d = inst(&sc, &[("P", vec![s("a"), null()])]);
-        let reps = repairs_with_config(
+        let reps = repairs(
             &d,
             &IcSet::default(),
             RepairConfig {
@@ -1202,7 +1064,7 @@ mod tests {
                 ],
             ] {
                 let d = inst(&sc, &rows);
-                let engine = repairs(&d, &ics).unwrap();
+                let engine = repairs(&d, &ics, RepairConfig::default()).unwrap();
                 let oracle = crate::bruteforce::oracle_repairs(&d, &ics);
                 assert_eq!(engine, oracle, "rows={rows:?}");
             }

@@ -25,6 +25,11 @@
 //!   unions thereof, evaluated with null as an ordinary constant.
 //! * [`cqa`] — consistent answers (Definition 8): by repair intersection
 //!   and by cautious reasoning over Π(D, IC) plus query rules.
+//! * [`cache`] — the caller-owned [`CqaCaches`] bundle (root violation
+//!   scans, groundings, planner counters). Every operation has a one-shot
+//!   form that builds a fresh bundle and runs without a deadline, and a
+//!   `*_governed` form that takes the caller's bundle and
+//!   [`cqa_relational::CancelToken`].
 //! * [`plan`] — the fast-path planner: classifies each
 //!   `(IcSet, query, semantics)` request and answers it without repair
 //!   enumeration when a polynomial route is sound (see its decision
@@ -49,26 +54,24 @@ pub mod repair;
 pub mod rewrite;
 
 pub use cache::{
-    grounding_cache_stats, warm_caches_in, CqaCaches, GroundingCache, GroundingCacheStats,
-    WorklistCache, WorklistCacheStats,
+    warm_caches_in, CqaCaches, GroundingCache, GroundingCacheStats, WorklistCache,
+    WorklistCacheStats,
 };
 pub use cqa::{
     consistent_answers, consistent_answers_enumerated, consistent_answers_enumerated_governed,
-    consistent_answers_full, consistent_answers_full_in, consistent_answers_governed,
-    consistent_answers_via_program, consistent_answers_via_program_governed,
-    consistent_answers_via_program_in, AnswerSet,
+    consistent_answers_governed, consistent_answers_via_program,
+    consistent_answers_via_program_governed, AnswerSet,
 };
 pub use cqa_asp::{SolveOptions, SolverStateStats};
 pub use engine::{
-    repairs, repairs_with_config, repairs_with_config_governed, repairs_with_config_in,
-    repairs_with_trace, repairs_with_trace_governed, repairs_with_trace_in, worklist_cache_stats,
+    repairs, repairs_with_config_governed, repairs_with_trace, repairs_with_trace_governed,
     RepairAction, RepairConfig, RepairSemantics, RepairStep, SearchStrategy, TracedRepair,
 };
 pub use error::{CoreError, InterruptPhase};
 pub use plan::{plan_query, DeclineReason, PlanRoute, PlannerCounters, PlannerStats, QueryPlan};
 pub use program::{
     repair_program, repair_program_with, repairs_via_program, repairs_via_program_governed,
-    repairs_via_program_in, repairs_via_program_solved, repairs_via_program_with, ProgramStyle,
+    repairs_via_program_solved, ProgramStyle,
 };
 pub use query::{AnswerSemantics, QueryNullSemantics};
 pub use query::{ConjunctiveQuery, Query, QueryBuilder};

@@ -519,6 +519,7 @@ mod tests {
             &union,
             RepairConfig::default(),
             AnswerSemantics::IncludeNullAnswers,
+            QueryNullSemantics::NullAsValue,
         )
         .unwrap();
         assert_eq!(
@@ -532,6 +533,7 @@ mod tests {
                 &cq.into(),
                 RepairConfig::default(),
                 AnswerSemantics::IncludeNullAnswers,
+                QueryNullSemantics::NullAsValue,
             )
             .unwrap();
             assert!(alone.is_empty());

@@ -458,64 +458,36 @@ pub fn extract_instance_with_base(
 }
 
 /// The repairs of `d` according to the stable models of Π(D, IC)
-/// (Theorem 4: for RIC-acyclic IC these are exactly the repairs).
-/// Distinct stable models can map to the same instance only in the
-/// paper-exact corner cases; the result is de-duplicated and sorted.
-/// Grounding goes through the process-wide default [`CqaCaches`]: a
-/// repeat call over an unchanged instance reuses the ground program, and
-/// any bounded drift — insertions, deletions, or both — regrounds
-/// incrementally.
+/// (Theorem 4: for RIC-acyclic IC these are exactly the repairs), over
+/// an optionally pruned program ([`repair_program_with`]). Distinct
+/// stable models can map to the same instance only in the paper-exact
+/// corner cases; the result is de-duplicated and sorted. One-shot: a
+/// fresh [`CqaCaches`] bundle and no deadline.
 pub fn repairs_via_program(
     d: &Instance,
     ics: &IcSet,
     style: ProgramStyle,
-) -> Result<Vec<Instance>, CoreError> {
-    repairs_via_program_with(d, ics, style, false)
-}
-
-/// [`repairs_via_program`] against an explicit cache bundle.
-pub fn repairs_via_program_in(
-    d: &Instance,
-    ics: &IcSet,
-    style: ProgramStyle,
-    caches: &CqaCaches,
-) -> Result<Vec<Instance>, CoreError> {
-    repairs_via_program_with_in(d, ics, style, false, caches)
-}
-
-/// [`repairs_via_program`] over an optionally pruned program.
-pub fn repairs_via_program_with(
-    d: &Instance,
-    ics: &IcSet,
-    style: ProgramStyle,
     prune_untouched: bool,
-) -> Result<Vec<Instance>, CoreError> {
-    repairs_via_program_with_in(d, ics, style, prune_untouched, crate::cache::global())
-}
-
-/// The fully-parameterised program route: cached incremental grounding,
-/// stable-model enumeration, Definition-10 extraction.
-pub fn repairs_via_program_with_in(
-    d: &Instance,
-    ics: &IcSet,
-    style: ProgramStyle,
-    prune_untouched: bool,
-    caches: &CqaCaches,
 ) -> Result<Vec<Instance>, CoreError> {
     repairs_via_program_governed(
         d,
         ics,
         style,
         prune_untouched,
-        caches,
+        &CqaCaches::new(),
         &CancelToken::never(),
     )
 }
 
-/// [`repairs_via_program_with_in`] under a cancellation token, polled by
-/// the grounding loops ([`CoreError::Interrupted`] with `Grounding`), the
-/// CDCL stable-model enumeration, and the per-model extraction (both
-/// `ModelEnumeration`, `partial` counting models fully processed).
+/// [`repairs_via_program`] against the caller's cache bundle and under a
+/// cancellation token. Grounding goes through the bundle's
+/// [`crate::cache::GroundingCache`]: a repeat call over an unchanged
+/// instance reuses the ground program, and any bounded drift —
+/// insertions, deletions, or both — regrounds incrementally. The token is
+/// polled by the grounding loops ([`CoreError::Interrupted`] with
+/// `Grounding`), the CDCL stable-model enumeration, and the per-model
+/// extraction (both `ModelEnumeration`, `partial` counting models fully
+/// processed).
 pub fn repairs_via_program_governed(
     d: &Instance,
     ics: &IcSet,
@@ -654,7 +626,7 @@ mod tests {
     fn example23_four_stable_models_match_example19_repairs() {
         let (_, d, ics) = example19();
         for style in [ProgramStyle::PaperExact, ProgramStyle::Corrected] {
-            let reps = repairs_via_program(&d, &ics, style).unwrap();
+            let reps = repairs_via_program(&d, &ics, style, false).unwrap();
             let rendered = sets(&reps);
             assert_eq!(reps.len(), 4, "{style:?}: {rendered:?}");
             assert!(rendered.contains(&"{R(a, b), R(f, null), S(null, a), S(e, f)}".to_string()));
@@ -667,8 +639,8 @@ mod tests {
     #[test]
     fn theorem4_program_agrees_with_engine_on_example19() {
         let (_, d, ics) = example19();
-        let via_program = repairs_via_program(&d, &ics, ProgramStyle::Corrected).unwrap();
-        let via_engine = crate::engine::repairs(&d, &ics).unwrap();
+        let via_program = repairs_via_program(&d, &ics, ProgramStyle::Corrected, false).unwrap();
+        let via_engine = crate::engine::repairs(&d, &ics, Default::default()).unwrap();
         assert_eq!(via_program, via_engine);
     }
 
@@ -707,7 +679,7 @@ mod tests {
         // And the program computes the right repairs: P(c,null) violates
         // the NNC (deleted in every repair); P(a,b) needs R(a) or S(b) or
         // deletion.
-        let reps = repairs_via_program(&d, &ics, ProgramStyle::Corrected).unwrap();
+        let reps = repairs_via_program(&d, &ics, ProgramStyle::Corrected, false).unwrap();
         let rendered = sets(&reps);
         assert_eq!(reps.len(), 3, "{rendered:?}");
         assert!(rendered.contains(&"{}".to_string()));
@@ -733,10 +705,10 @@ mod tests {
         ics.push(builders::foreign_key(&sc, "S", &[1], "R", &[0]).unwrap());
         assert!(cqa_constraints::is_consistent(&d, &ics));
 
-        let corrected = repairs_via_program(&d, &ics, ProgramStyle::Corrected).unwrap();
+        let corrected = repairs_via_program(&d, &ics, ProgramStyle::Corrected, false).unwrap();
         assert_eq!(sets(&corrected), vec![instance_set(&d)]);
 
-        let paper = repairs_via_program(&d, &ics, ProgramStyle::PaperExact).unwrap();
+        let paper = repairs_via_program(&d, &ics, ProgramStyle::PaperExact, false).unwrap();
         // Paper-exact: a spurious deletion model appears alongside D.
         assert_eq!(paper.len(), 2, "{:?}", sets(&paper));
         assert!(paper.contains(&d));
@@ -757,7 +729,7 @@ mod tests {
         let mut ics = IcSet::default();
         ics.push(builders::foreign_key(&sc, "S", &[1], "R", &[0]).unwrap());
         for style in [ProgramStyle::PaperExact, ProgramStyle::Corrected] {
-            let reps = repairs_via_program(&d, &ics, style).unwrap();
+            let reps = repairs_via_program(&d, &ics, style, false).unwrap();
             let rendered = sets(&reps);
             assert_eq!(reps.len(), 2, "{style:?}: {rendered:?}");
             assert!(rendered.contains(&"{}".to_string()));
@@ -816,8 +788,8 @@ mod tests {
         let full = repair_program(&d, &ics, ProgramStyle::Corrected).unwrap();
         let pruned = repair_program_with(&d, &ics, ProgramStyle::Corrected, true).unwrap();
         assert!(pruned.rules().len() < full.rules().len());
-        let via_full = repairs_via_program(&d, &ics, ProgramStyle::Corrected).unwrap();
-        let via_pruned = repairs_via_program_with(&d, &ics, ProgramStyle::Corrected, true).unwrap();
+        let via_full = repairs_via_program(&d, &ics, ProgramStyle::Corrected, false).unwrap();
+        let via_pruned = repairs_via_program(&d, &ics, ProgramStyle::Corrected, true).unwrap();
         assert_eq!(via_full, via_pruned);
         // Audit rows survive in every repair.
         for r in &via_pruned {
@@ -832,7 +804,7 @@ mod tests {
             &sc,
             &[("R", vec![s("a"), s("b")]), ("S", vec![s("e"), s("a")])],
         );
-        let reps = repairs_via_program(&d, &ics, ProgramStyle::Corrected).unwrap();
+        let reps = repairs_via_program(&d, &ics, ProgramStyle::Corrected, false).unwrap();
         assert_eq!(reps, vec![d]);
     }
 }

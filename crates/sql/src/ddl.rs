@@ -391,7 +391,7 @@ mod tests {
     #[test]
     fn repairs_of_parsed_catalog_match_example19() {
         let cat = parse_script(EXAMPLE19).unwrap();
-        let reps = cqa_core::repairs(&cat.instance, &cat.constraints).unwrap();
+        let reps = cqa_core::repairs(&cat.instance, &cat.constraints, Default::default()).unwrap();
         assert_eq!(reps.len(), 4);
     }
 

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n== Theorem 4: they are exactly the repairs ==");
-    for r in repairs(&d, &ics)? {
+    for r in repairs(&d, &ics, RepairConfig::default())? {
         println!("  repair: {}", instance_set(&r));
     }
 

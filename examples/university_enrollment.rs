@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ics2 = IcSet::new([Constraint::from(ric)]);
 
     println!("null-based repairs (always exactly these two):");
-    for r in repairs(&d2, &ics2)? {
+    for r in repairs(&d2, &ics2, RepairConfig::default())? {
         println!("  {}", instance_set(&r));
     }
 

@@ -62,8 +62,8 @@ pub mod prelude {
     pub use crate::Database;
     pub use cqa_constraints::{builders, c, v, CmpOp, Constraint, Ic, IcSet, Nnc, SatMode};
     pub use cqa_core::{
-        consistent_answers, repairs, ConjunctiveQuery, ProgramStyle, Query, RepairConfig,
-        RepairSemantics,
+        consistent_answers, repairs, AnswerSemantics, ConjunctiveQuery, ProgramStyle, Query,
+        QueryNullSemantics, RepairConfig, RepairSemantics,
     };
     pub use cqa_relational::{i, null, s, Instance, Schema, Tuple, Value};
 }
@@ -164,9 +164,7 @@ impl From<cqa_relational::RelationalError> for Error {
 /// the log describing a state neither handle holds, so the write role
 /// stays with the original handle and a clone's `insert`/`delete`/
 /// `add_constraint` returns [`Error::ReadOnlyClone`]. Clones still
-/// query, and share the cache bundle. [`Database::instance_mut`]
-/// bypasses the WAL entirely; changes made through it reach disk only
-/// at the next snapshot compaction.
+/// query, and share the cache bundle.
 ///
 /// ## Cancellation and deadlines
 ///
@@ -484,11 +482,6 @@ impl Database {
     /// The constraint set.
     pub fn constraints(&self) -> &IcSet {
         &self.constraints
-    }
-
-    /// Mutable access to the instance (for programmatic loading).
-    pub fn instance_mut(&mut self) -> &mut Instance {
-        &mut self.instance
     }
 
     /// Override the repair-search configuration.

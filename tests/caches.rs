@@ -1,20 +1,23 @@
-//! Per-`Database` cache handles: every facade instance owns its own
+//! Caller-owned cache bundles. Every facade instance owns its own
 //! [`CqaCaches`] bundle, so one tenant's scans and groundings can never be
-//! evicted by another tenant's churn (ROADMAP "Worklist-cache scope").
-//! The free functions keep using the process-wide default bundle — that
-//! behaviour is pinned separately in `worklist_cache.rs`.
+//! evicted by another tenant's churn, and the `*_governed` entry points
+//! run against whatever bundle the caller passes.
 //!
-//! The grounding cache's drift trichotomy (hit / incremental reground /
-//! rebuild) and its size-aware eviction budget are pinned here too: any
-//! drift — insertions, deletions, or both — must take the incremental
-//! path, with rebuild reserved for drifts beyond the escape-hatch
-//! fraction.
+//! Pinned here: the root-worklist cache's hit/miss/invalidation contract,
+//! the grounding cache's drift trichotomy (hit / incremental reground /
+//! rebuild) and its size-aware eviction budget. Any drift — insertions,
+//! deletions, or both — must take the incremental path, with rebuild
+//! reserved for drifts beyond the escape-hatch fraction.
 //!
-//! Only per-handle counters are read here, so the tests are immune to the
-//! global counters moving under parallel test threads.
+//! Every counter read here belongs to a bundle the test itself owns, so
+//! the tests share one binary and still run in parallel.
 
-use cqa::core::{CqaCaches, GroundingCacheStats, ProgramStyle};
-use cqa::Database;
+use cqa::core::{
+    repairs_via_program_governed, repairs_with_config_governed, CqaCaches, GroundingCacheStats,
+    ProgramStyle, RepairConfig, SearchStrategy,
+};
+use cqa::relational::Instance;
+use cqa::{CancelToken, Database};
 
 fn tenant(tag: &str) -> Database {
     // One key conflict (the FK target survives either resolution):
@@ -42,6 +45,62 @@ fn wl(db: &Database) -> (u64, u64, u64) {
 }
 
 #[test]
+fn worklist_cache_hits_repeats_and_invalidates_on_mutation() {
+    // Repeated `repairs*` calls over an unchanged instance must skip the
+    // O(instance) full violation scan, and any content mutation must
+    // invalidate exactly (the cache keys on `Instance::version`, which
+    // every mutation reassigns).
+    let w = cqa_bench::example19_scaled(30, 2, 1, 71);
+    let mut d = w.instance;
+    let ics = w.ics;
+    let config = RepairConfig::default();
+    let caches = CqaCaches::new();
+    let repairs = |d: &Instance, ics: &cqa::constraints::IcSet, config| {
+        repairs_with_config_governed(d, ics, config, &caches, &CancelToken::never()).unwrap()
+    };
+    let hm = || {
+        let s = caches.worklist.stats();
+        (s.hits, s.misses)
+    };
+
+    let first = repairs(&d, &ics, config);
+    assert_eq!(hm(), (0, 1), "first call scans");
+
+    let second = repairs(&d, &ics, config);
+    assert_eq!(hm(), (1, 1), "repeat call hits, without a rescan");
+    assert_eq!(second, first);
+
+    // The parallel strategy shares the same cache.
+    let parallel = RepairConfig {
+        strategy: SearchStrategy::Parallel { threads: 2 },
+        ..config
+    };
+    assert_eq!(repairs(&d, &ics, parallel), first);
+    assert_eq!(hm(), (2, 1));
+
+    // A clone shares the version stamp: still a hit.
+    let _ = repairs(&d.clone(), &ics, config);
+    assert_eq!(hm(), (3, 1));
+
+    // Mutating between calls invalidates: new conflict, fresh scan, and —
+    // decisively — the *result* reflects the mutation.
+    d.insert_named("R", [cqa::s("dupX"), cqa::s("a")]).unwrap();
+    d.insert_named("R", [cqa::s("dupX"), cqa::s("b")]).unwrap();
+    let third = repairs(&d, &ics, config);
+    assert_eq!(hm(), (3, 2), "mutation must force a rescan");
+    assert_eq!(
+        third.len(),
+        first.len() * 2,
+        "the extra key conflict doubles the repair count"
+    );
+
+    // Same instance, different constraint set: the key includes the ICs.
+    let fewer = ics.constraints().iter().take(1).cloned().collect();
+    let _ = repairs(&d, &fewer, config);
+    assert_eq!(hm(), (3, 3), "different ICs must not reuse the scan");
+}
+
+#[test]
 fn worklist_cache_is_per_tenant() {
     let db = tenant("main");
     let first = db.repairs().unwrap();
@@ -50,9 +109,9 @@ fn worklist_cache_is_per_tenant() {
     assert_eq!(second, first);
     assert_eq!(wl(&db), (1, 1, 0), "repeat call hits");
 
-    // Hammer 20 other tenants — more than the 8-entry LRU capacity. With
-    // the old process-wide cache this evicted `db`'s entry; per-tenant
-    // handles must be untouched.
+    // Hammer 20 other tenants — more than the 8-entry LRU capacity. One
+    // shared bundle would evict `db`'s entry; per-tenant handles must be
+    // untouched.
     for i in 0..20 {
         let other = tenant(&format!("t{i}"));
         let _ = other.repairs().unwrap();
@@ -282,6 +341,19 @@ fn batch_mutators_match_singles_and_reground_once() {
     assert_eq!(counts(&batched), (1, 2, 0, 1), "no-op batches don't drift");
 }
 
+/// The program route's repairs of `db`'s state against the bundle `caches`.
+fn program_repairs(db: &Database, style: ProgramStyle, caches: &CqaCaches) -> Vec<Instance> {
+    repairs_via_program_governed(
+        db.instance(),
+        db.constraints(),
+        style,
+        false,
+        caches,
+        &CancelToken::never(),
+    )
+    .unwrap()
+}
+
 #[test]
 fn grounding_cache_eviction_is_size_aware() {
     // A budget small enough for exactly one Example-19 grounding: a
@@ -289,13 +361,7 @@ fn grounding_cache_eviction_is_size_aware() {
     // eviction counter must say so.
     let caches = CqaCaches::with_grounding_budget(1);
     let db = tenant("evict");
-    let reps = cqa::core::repairs_via_program_in(
-        db.instance(),
-        db.constraints(),
-        ProgramStyle::Corrected,
-        &caches,
-    )
-    .unwrap();
+    let reps = program_repairs(&db, ProgramStyle::Corrected, &caches);
     assert_eq!(reps.len(), 2); // the key conflict's two resolutions
     let s = caches.grounding.stats();
     assert_eq!(
@@ -305,44 +371,23 @@ fn grounding_cache_eviction_is_size_aware() {
     );
     // Same key again: still a hit — the most recent entry survives even
     // over budget.
-    let _ = cqa::core::repairs_via_program_in(
-        db.instance(),
-        db.constraints(),
-        ProgramStyle::Corrected,
-        &caches,
-    )
-    .unwrap();
+    let _ = program_repairs(&db, ProgramStyle::Corrected, &caches);
     assert_eq!(caches.grounding.stats().hits, 1);
     // A second key blows the budget: the older entry goes.
-    let _ = cqa::core::repairs_via_program_in(
-        db.instance(),
-        db.constraints(),
-        ProgramStyle::PaperExact,
-        &caches,
-    )
-    .unwrap();
+    let _ = program_repairs(&db, ProgramStyle::PaperExact, &caches);
     let s = caches.grounding.stats();
     assert_eq!(s.evictions, 1, "size budget evicted the LRU entry");
     // The first key is cold again.
-    let _ = cqa::core::repairs_via_program_in(
-        db.instance(),
-        db.constraints(),
-        ProgramStyle::Corrected,
-        &caches,
-    )
-    .unwrap();
+    let _ = program_repairs(&db, ProgramStyle::Corrected, &caches);
     let s = caches.grounding.stats();
     assert_eq!((s.hits, s.misses, s.evictions), (1, 3, 2));
 
     // A default-budget bundle holds both styles without evicting.
     let roomy = CqaCaches::new();
-    for style in [ProgramStyle::Corrected, ProgramStyle::PaperExact] {
-        let _ = cqa::core::repairs_via_program_in(db.instance(), db.constraints(), style, &roomy)
-            .unwrap();
-    }
-    for style in [ProgramStyle::Corrected, ProgramStyle::PaperExact] {
-        let _ = cqa::core::repairs_via_program_in(db.instance(), db.constraints(), style, &roomy)
-            .unwrap();
+    for _round in 0..2 {
+        for style in [ProgramStyle::Corrected, ProgramStyle::PaperExact] {
+            let _ = program_repairs(&db, style, &roomy);
+        }
     }
     let s = roomy.grounding.stats();
     assert_eq!(

@@ -6,8 +6,8 @@
 use cqa::constraints::{builders, v, IcSet};
 use cqa::core::query::{AnswerSemantics, QueryNullSemantics};
 use cqa::core::{
-    consistent_answers, consistent_answers_full, consistent_answers_via_program, ConjunctiveQuery,
-    ProgramStyle, Query, RepairConfig, RepairSemantics,
+    consistent_answers, consistent_answers_via_program, ConjunctiveQuery, ProgramStyle, Query,
+    RepairConfig, RepairSemantics,
 };
 use cqa::prelude::*;
 use std::collections::BTreeSet;
@@ -45,6 +45,7 @@ fn agree(d: &Instance, ics: &IcSet, q: &Query) -> BTreeSet<Tuple> {
         q,
         RepairConfig::default(),
         AnswerSemantics::IncludeNullAnswers,
+        QueryNullSemantics::NullAsValue,
     )
     .unwrap();
     let via_program = consistent_answers_via_program(
@@ -63,7 +64,7 @@ fn agree(d: &Instance, ics: &IcSet, q: &Query) -> BTreeSet<Tuple> {
 fn repair_structure() {
     let (_, d, ics) = setup();
     // 2 (key choice) × 2 (delete emp 3 / insert dept(ghost, null)) = 4.
-    let reps = cqa::core::repairs(&d, &ics).unwrap();
+    let reps = cqa::core::repairs(&d, &ics, RepairConfig::default()).unwrap();
     assert_eq!(reps.len(), 4);
 }
 
@@ -159,6 +160,7 @@ fn boolean_queries() {
         &yes,
         RepairConfig::default(),
         AnswerSemantics::IncludeNullAnswers,
+        QueryNullSemantics::NullAsValue,
     )
     .unwrap();
     assert!(direct.is_yes());
@@ -173,6 +175,7 @@ fn boolean_queries() {
         &no,
         RepairConfig::default(),
         AnswerSemantics::IncludeNullAnswers,
+        QueryNullSemantics::NullAsValue,
     )
     .unwrap();
     assert!(!direct_no.is_yes());
@@ -188,7 +191,7 @@ fn null_answer_filtering_and_sql_mode() {
         .finish()
         .unwrap()
         .into();
-    let with_nulls = consistent_answers_full(
+    let with_nulls = consistent_answers(
         &d,
         &ics,
         &q,
@@ -199,7 +202,7 @@ fn null_answer_filtering_and_sql_mode() {
     .unwrap();
     // (ghost, null) is NOT consistent (absent from deletion repairs), so
     // both filters agree here:
-    let filtered = consistent_answers_full(
+    let filtered = consistent_answers(
         &d,
         &ics,
         &q,
@@ -210,7 +213,7 @@ fn null_answer_filtering_and_sql_mode() {
     .unwrap();
     assert_eq!(with_nulls.tuples, filtered.tuples);
     // SQL three-valued mode returns a subset of as-value answers here.
-    let sql = consistent_answers_full(
+    let sql = consistent_answers(
         &d,
         &ics,
         &q,
@@ -238,7 +241,8 @@ fn repd_cqa_on_conflicting_sets() {
         &ics,
         &q,
         RepairConfig::default(),
-        AnswerSemantics::IncludeNullAnswers
+        AnswerSemantics::IncludeNullAnswers,
+        QueryNullSemantics::NullAsValue
     )
     .is_err());
     let repd = consistent_answers(
@@ -250,6 +254,7 @@ fn repd_cqa_on_conflicting_sets() {
             ..RepairConfig::default()
         },
         AnswerSemantics::IncludeNullAnswers,
+        QueryNullSemantics::NullAsValue,
     )
     .unwrap();
     // Under Rep_d emp 3 is always deleted (no dept(ghost,·) insertion is

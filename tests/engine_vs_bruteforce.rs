@@ -5,12 +5,12 @@
 //! This is the strongest correctness evidence for the repair semantics:
 //! the oracle implements Definitions 6–7 literally (every subset of the
 //! atom universe, filtered by `|=_N`, minimised under `≤_D`), with no
-//! shared code with the engine's search. Both search strategies — the
-//! incremental worklist and the naive full-rescan — are held to the same
-//! oracle. Randomness is the workspace's deterministic [`XorShift`].
+//! shared code with the engine's search. `strategy_oracle.rs` holds the
+//! parallel strategy to the same oracle. Randomness is the workspace's
+//! deterministic [`XorShift`].
 
 use cqa::constraints::{builders, v, Constraint, Ic, IcSet};
-use cqa::core::{bruteforce, repairs, repairs_with_config, RepairConfig, SearchStrategy};
+use cqa::core::{bruteforce, repairs, RepairConfig};
 use cqa::prelude::*;
 use cqa::relational::testing::XorShift;
 use cqa::relational::DatabaseAtom;
@@ -101,19 +101,8 @@ fn engine_equals_oracle() {
             continue; // keep the oracle tractable
         }
         checked += 1;
-        let via_oracle = bruteforce::oracle_repairs(&d, &ics);
-        for strategy in [SearchStrategy::Incremental, SearchStrategy::FullRescan] {
-            let via_engine = repairs_with_config(
-                &d,
-                &ics,
-                RepairConfig {
-                    strategy,
-                    ..RepairConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(via_engine, via_oracle, "strategy {strategy:?}");
-        }
+        let via_engine = repairs(&d, &ics, RepairConfig::default()).unwrap();
+        assert_eq!(via_engine, bruteforce::oracle_repairs(&d, &ics));
     }
 }
 
@@ -124,7 +113,7 @@ fn repairs_satisfy_invariants() {
     for _ in 0..48 {
         let d = instance(&mut rng, &sc);
         let ics = subset(&mut rng, &sc);
-        let reps = repairs(&d, &ics).unwrap();
+        let reps = repairs(&d, &ics, RepairConfig::default()).unwrap();
         // Non-empty (Proposition 1(b)).
         assert!(!reps.is_empty());
         // Every repair consistent.
@@ -163,7 +152,7 @@ fn inserted_nulls_only_at_existential_positions() {
     for _ in 0..48 {
         let d = instance(&mut rng, &sc);
         let ics: IcSet = pool(&sc).into_iter().take(1).collect();
-        let reps = repairs(&d, &ics).unwrap();
+        let reps = repairs(&d, &ics, RepairConfig::default()).unwrap();
         for r in &reps {
             let delta = cqa::relational::delta(&d, r).unwrap();
             for atom in &delta.inserted {

@@ -15,9 +15,8 @@ use cqa::asp::{ground, GroundingState};
 use cqa::constraints::{builders, graph, v, Constraint, Ic, IcSet};
 use cqa::core::query::AnswerSemantics;
 use cqa::core::{
-    consistent_answers, consistent_answers_full, consistent_answers_via_program, repair_program,
-    repairs, repairs_via_program, ConjunctiveQuery, ProgramStyle, Query, RepairConfig,
-    SearchStrategy,
+    consistent_answers, consistent_answers_via_program, repair_program, repairs,
+    repairs_via_program, ConjunctiveQuery, ProgramStyle, Query, RepairConfig, SearchStrategy,
 };
 use cqa::prelude::*;
 use cqa::relational::testing::{env_threads, XorShift};
@@ -117,8 +116,8 @@ fn theorem4_engine_equals_program() {
     for _ in 0..48 {
         let d = instance(&mut rng, &sc);
         let ics = acyclic_subset(&mut rng, &sc);
-        let via_engine = repairs(&d, &ics).unwrap();
-        let via_program = repairs_via_program(&d, &ics, ProgramStyle::Corrected).unwrap();
+        let via_engine = repairs(&d, &ics, RepairConfig::default()).unwrap();
+        let via_program = repairs_via_program(&d, &ics, ProgramStyle::Corrected, false).unwrap();
         assert_eq!(via_engine, via_program);
     }
 }
@@ -164,6 +163,7 @@ fn cqa_direct_equals_cqa_via_program() {
                     ..RepairConfig::default()
                 },
                 AnswerSemantics::IncludeNullAnswers,
+                QueryNullSemantics::NullAsValue,
             )
             .unwrap();
             assert_eq!(direct, via_program, "strategy {strategy:?}");
@@ -196,9 +196,9 @@ fn parallel_intersection_matches_serial_across_semantics() {
                 cqa::core::QueryNullSemantics::SqlThreeValued,
             ] {
                 let serial =
-                    consistent_answers_full(&d, &ics, &q, RepairConfig::default(), semantics, qsem)
+                    consistent_answers(&d, &ics, &q, RepairConfig::default(), semantics, qsem)
                         .unwrap();
-                let parallel = consistent_answers_full(
+                let parallel = consistent_answers(
                     &d,
                     &ics,
                     &q,
@@ -225,8 +225,8 @@ fn paper_exact_repairs_are_superset_of_corrected() {
     for _ in 0..48 {
         let d = instance(&mut rng, &sc);
         let ics = acyclic_subset(&mut rng, &sc);
-        let corrected = repairs_via_program(&d, &ics, ProgramStyle::Corrected).unwrap();
-        let paper = repairs_via_program(&d, &ics, ProgramStyle::PaperExact).unwrap();
+        let corrected = repairs_via_program(&d, &ics, ProgramStyle::Corrected, false).unwrap();
+        let paper = repairs_via_program(&d, &ics, ProgramStyle::PaperExact, false).unwrap();
         for r in &corrected {
             assert!(paper.contains(r));
         }
@@ -372,8 +372,8 @@ fn alternating_churn_reground_equals_scratch() {
         }
         d.insert_named("R", [s(&format!("churn{round}")), value(&mut rng)])
             .unwrap();
-        let via_engine = repairs(&d, &ics).unwrap();
-        let via_program = repairs_via_program(&d, &ics, ProgramStyle::Corrected).unwrap();
+        let via_engine = repairs(&d, &ics, RepairConfig::default()).unwrap();
+        let via_program = repairs_via_program(&d, &ics, ProgramStyle::Corrected, false).unwrap();
         assert_eq!(via_engine, via_program, "churned instance, round {round}");
     }
 }

@@ -13,8 +13,8 @@
 use cqa::constraints::{builders, graph, v, Constraint, Ic, IcSet};
 use cqa::core::query::AnswerSemantics;
 use cqa::core::{
-    consistent_answers_enumerated, consistent_answers_full, consistent_answers_via_program,
-    plan_query, ConjunctiveQuery, PlanRoute, ProgramStyle, Query, QueryNullSemantics, RepairConfig,
+    consistent_answers, consistent_answers_enumerated, consistent_answers_via_program, plan_query,
+    ConjunctiveQuery, PlanRoute, ProgramStyle, Query, QueryNullSemantics, RepairConfig,
 };
 use cqa::prelude::*;
 use cqa::relational::testing::XorShift;
@@ -167,8 +167,7 @@ fn planner_equals_enumeration_and_program_on_the_pool() {
                     QueryNullSemantics::NullAsValue,
                     QueryNullSemantics::SqlThreeValued,
                 ] {
-                    let planned =
-                        consistent_answers_full(&d, &ics, q, config, semantics, qsem).unwrap();
+                    let planned = consistent_answers(&d, &ics, q, config, semantics, qsem).unwrap();
                     let enumerated =
                         consistent_answers_enumerated(&d, &ics, q, config, semantics, qsem)
                             .unwrap();
@@ -276,7 +275,7 @@ fn pinned_refusals() {
     d.insert_named("R", [s("c0"), s("c0")]).unwrap();
     d.insert_named("R", [s("c0"), s("c1")]).unwrap();
     for q in [&existential, &union] {
-        let planned = consistent_answers_full(
+        let planned = consistent_answers(
             &d,
             &fd_only,
             q,

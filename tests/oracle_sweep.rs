@@ -61,7 +61,7 @@ fn exhaustive_small_sweep() {
         if universe.len() > 14 {
             continue;
         }
-        let e = repairs(&d, &ics).unwrap();
+        let e = repairs(&d, &ics, RepairConfig::default()).unwrap();
         let o = bruteforce::oracle_repairs(&d, &ics);
         if e != o {
             println!("MISMATCH mask={mask} universe={}", universe.len());
@@ -95,7 +95,7 @@ fn exhaustive_small_sweep() {
             if universe.len() > 14 {
                 continue;
             }
-            let e = repairs(&d, &ics).unwrap();
+            let e = repairs(&d, &ics, RepairConfig::default()).unwrap();
             let o = bruteforce::oracle_repairs(&d, &ics);
             if e != o {
                 println!("MISMATCH mask={mask} val={val} universe={}", universe.len());

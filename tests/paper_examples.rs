@@ -447,7 +447,7 @@ fn example14_15_classic_vs_null_repairs() {
         assert_eq!(classic_reps.len(), k + 1);
     }
     // Example 15: exactly two null-based repairs.
-    let reps = repairs(&d, &ics).unwrap();
+    let reps = repairs(&d, &ics, RepairConfig::default()).unwrap();
     assert_eq!(
         sets(&reps),
         expect(&[
@@ -481,7 +481,7 @@ fn example16_two_repairs() {
         .finish()
         .unwrap();
     let ics = IcSet::new([Constraint::from(psi1), Constraint::from(psi2)]);
-    let reps = repairs(&d, &ics).unwrap();
+    let reps = repairs(&d, &ics, RepairConfig::default()).unwrap();
     assert_eq!(sets(&reps), expect(&["{}", "{Q(a, null), P(a, c)}"]));
     assert!(!cqa::core::leq_d(&d, &reps[0], &reps[1]).unwrap());
     assert!(!cqa::core::leq_d(&d, &reps[1], &reps[0]).unwrap());
@@ -510,7 +510,7 @@ fn example17_null_beats_value() {
         .finish()
         .unwrap();
     let ics = IcSet::new([Constraint::from(ric)]);
-    let reps = repairs(&d, &ics).unwrap();
+    let reps = repairs(&d, &ics, RepairConfig::default()).unwrap();
     assert_eq!(
         sets(&reps),
         expect(&[
@@ -556,7 +556,7 @@ fn example18_cyclic_four_repairs() {
         .unwrap();
     let ics = IcSet::new([Constraint::from(uic), Constraint::from(ric)]);
     assert!(!graph::is_ric_acyclic(&ics)); // cyclic — CQA still decidable
-    let reps = repairs(&d, &ics).unwrap();
+    let reps = repairs(&d, &ics, RepairConfig::default()).unwrap();
     assert_eq!(
         sets(&reps),
         expect(&[
@@ -591,7 +591,7 @@ fn example19_four_repairs() {
     ics.push(builders::foreign_key(&sc, "S", &[1], "R", &[0]).unwrap());
     ics.push(builders::not_null(&sc, "R", 0).unwrap());
     assert!(ics.is_non_conflicting());
-    let reps = repairs(&d, &ics).unwrap();
+    let reps = repairs(&d, &ics, RepairConfig::default()).unwrap();
     assert_eq!(
         sets(&reps),
         expect(&[
@@ -630,9 +630,9 @@ fn example20_conflicting_nnc_repd() {
     ics.push(builders::not_null(&sc, "Q", 1).unwrap());
     assert_eq!(ics.conflicting_pairs(), vec![(0, 1)]);
     // Null-based semantics refuses:
-    assert!(repairs(&d, &ics).is_err());
+    assert!(repairs(&d, &ics, RepairConfig::default()).is_err());
     // Rep_d gives the deletion repair only:
-    let reps = cqa::core::repairs_with_config(
+    let reps = cqa::core::repairs(
         &d,
         &ics,
         RepairConfig {
@@ -676,8 +676,8 @@ fn example21_23_repair_program_stable_models() {
         let gp = cqa::asp::ground(&program);
         let models = cqa::asp::stable_models(&gp);
         assert_eq!(models.len(), 4, "{style:?}");
-        let via_program = cqa::core::repairs_via_program(&d, &ics, style).unwrap();
-        let via_engine = repairs(&d, &ics).unwrap();
+        let via_program = cqa::core::repairs_via_program(&d, &ics, style, false).unwrap();
+        let via_engine = repairs(&d, &ics, RepairConfig::default()).unwrap();
         assert_eq!(via_program, via_engine, "{style:?}");
     }
 }
@@ -790,7 +790,7 @@ fn proposition1_active_domain_containment() {
     let mut ics = IcSet::default();
     ics.push(builders::functional_dependency(&sc, "R", &[0], 1).unwrap());
     ics.push(builders::foreign_key(&sc, "S", &[1], "R", &[0]).unwrap());
-    let reps = repairs(&d, &ics).unwrap();
+    let reps = repairs(&d, &ics, RepairConfig::default()).unwrap();
     assert!(!reps.is_empty());
     let mut allowed = d.active_domain();
     allowed.extend(ics.constants());

@@ -1,6 +1,6 @@
 //! Cross-strategy oracle: the parallel work-stealing search must produce
 //! repair *sequences* — ordered lists of traced repairs, not just sets —
-//! byte-identical to both sequential strategies, over random instances and
+//! byte-identical to the sequential strategy, over random instances and
 //! every subset of a constraint pool that includes single-column FDs,
 //! composite-determinant FDs and (composite) referential ICs. Small cases
 //! are additionally held to the brute-force Definition-6/7 oracle.
@@ -11,9 +11,7 @@
 //! order, instances, and the decision traces kept through deduplication.
 
 use cqa::constraints::{builders, v, Constraint, Ic, IcSet};
-use cqa::core::{
-    bruteforce, repairs_with_config, repairs_with_trace, RepairConfig, SearchStrategy,
-};
+use cqa::core::{bruteforce, repairs, repairs_with_trace, RepairConfig, SearchStrategy};
 use cqa::prelude::*;
 use cqa::relational::testing::{env_threads, XorShift};
 use std::sync::Arc;
@@ -117,7 +115,6 @@ fn parallel_matches_sequential_and_oracle() {
         SearchStrategy::Parallel {
             threads: env_threads(4),
         },
-        SearchStrategy::FullRescan,
     ];
     let mut checked = 0;
     let mut oracle_checked = 0;
@@ -168,12 +165,10 @@ fn parallel_matches_sequential_on_conflict_heavy_instances() {
             d.insert_named("T", [value(&mut rng), value(&mut rng), value(&mut rng)])
                 .unwrap();
         }
-        let reference = repairs_with_config(&d, &ics, RepairConfig::default()).unwrap();
+        let reference = repairs(&d, &ics, RepairConfig::default()).unwrap();
         assert!(!reference.is_empty());
         for threads in [2usize, 4, 8] {
-            let via =
-                repairs_with_config(&d, &ics, config_for(SearchStrategy::Parallel { threads }))
-                    .unwrap();
+            let via = repairs(&d, &ics, config_for(SearchStrategy::Parallel { threads })).unwrap();
             assert_eq!(via, reference, "threads={threads}");
         }
     }
