@@ -78,11 +78,6 @@ const RATIO_GATES: &[(&str, &str, &str, f64, &str)] = &[
     // segments plus the manifest. Measured ~0.17x; a compactor that
     // rewrites everything converges on the full series.
     ("storage_write", "compact_incremental/20", "compact_full/20", 0.3, "compaction is no longer O(changed relations)"),
-    // Crash recovery replays the WAL through the incremental grounder
-    // onto the warm snapshot grounding. Measured ~0.41 at a 1000-delta
-    // WAL over a ~4000-atom snapshot; a recovery that regrounds the
-    // recovered state from scratch converges on 1x.
-    ("recovery_replay", "replay/1000", "cold_rebuild/1000", 0.5, "recovery no longer rides the incremental grounding path"),
 ];
 
 /// Median (ns) of `name` within `group` in a harness JSON-lines dump.
@@ -246,7 +241,7 @@ mod tests {
     #[test]
     fn ratio_gates_pass_at_cap_and_fail_above_it() {
         // A denominator of 300 ns puts every cap (1.5, 1/4, 1/20, 1/3,
-        // 0.3, 1/2) on a whole numerator, so "at cap" is exact.
+        // 0.3) on a whole numerator, so "at cap" is exact.
         for &(group, num, den, cap, meaning) in RATIO_GATES {
             let at_cap = (cap * 300.0).round() as u128;
             let line = ratio_line(group, (num, at_cap), (den, 300));

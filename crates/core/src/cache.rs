@@ -483,12 +483,10 @@ impl CqaCaches {
 /// ground Π(d, IC) into the grounding cache (unpruned, the program
 /// route's default) and scan the root worklist.
 ///
-/// This is the recovery hook for durable databases: warm on the snapshot
-/// state, apply the WAL deltas to the instance, then warm again on the
-/// final state — the second call finds a version-mismatched entry and
-/// rides the *incremental reground* path, so a reopened database resumes
-/// with the same warm-cache trajectory a never-crashed process had,
-/// instead of paying a cold from-scratch grounding on its next query.
+/// Nothing in the library calls this; every route fills the caches on
+/// demand. It is for callers that want the grounding cost paid up front
+/// or timed on its own. Like the program route, it fails with
+/// [`CoreError::UnsupportedByProgram`] when Π(d, IC) does not exist.
 pub fn warm_caches_in(
     d: &Instance,
     ics: &IcSet,

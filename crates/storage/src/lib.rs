@@ -3,12 +3,11 @@
 //! Crash-safe persistence for the nullcqa workspace: a write-ahead log
 //! of tagged ops — [`InstanceDelta`](cqa_relational::InstanceDelta)
 //! frames and constraint frames — paired with incremental per-relation
-//! snapshots, std-only like the rest of the workspace. The delta is the
-//! same first-class value that drives the incremental grounding cache,
-//! so recovery is a *replay through the ordinary incremental machinery*
-//! — a reopened database is not just consistent with every acknowledged
-//! write, its derived state (groundings, worklists) rebuilds warm
-//! instead of from scratch.
+//! snapshots, std-only like the rest of the workspace. Recovery loads
+//! the snapshot and replays the surviving ops onto it in sequence order
+//! ([`Recovered::into_state`]), so a reopened database holds every
+//! acknowledged write. Derived state (groundings, worklists) is not
+//! persisted; it is rebuilt on demand after a reopen.
 //!
 //! ## On-disk format
 //!

@@ -45,10 +45,11 @@
 //!   snapshot rewrite; recovery replays it in sequence order with the
 //!   delta frames.
 //!
-//! The store moves bytes and sequence numbers; it never interprets the
-//! ops. Replaying them through the incremental grounding machinery is
-//! the facade's job — that is what makes a reopened database arrive
-//! *warm*, not just consistent.
+//! The store moves bytes and sequence numbers. Recovery is
+//! [`Recovered::into_state`]: the surviving ops applied to the snapshot
+//! in sequence order. Derived state (groundings, worklists) is not
+//! recovered; the facade rebuilds it on demand, as it does for a
+//! database built in memory.
 
 use crate::codec::{encode_constraint_op, encode_delta_op, WalOp};
 use crate::error::StorageError;
@@ -174,8 +175,8 @@ pub struct RecoveryReport {
 #[derive(Debug)]
 pub struct Recovered {
     /// The instance exactly as the snapshot recorded it (WAL ops
-    /// **not** yet applied) — the caller replays [`Recovered::ops`]
-    /// through its own incremental paths.
+    /// **not** yet applied); [`Recovered::into_state`] applies
+    /// [`Recovered::ops`] to it.
     pub snapshot_instance: Instance,
     /// The constraint set as of the snapshot (WAL constraint frames
     /// **not** yet applied).
@@ -185,6 +186,23 @@ pub struct Recovered {
     pub ops: Vec<(u64, WalOp)>,
     /// What recovery found and did.
     pub report: RecoveryReport,
+}
+
+impl Recovered {
+    /// The recovered state: the snapshot instance and constraint set
+    /// with every surviving op applied in sequence order — deltas to
+    /// the instance, constraint frames to the set.
+    pub fn into_state(self) -> (Instance, IcSet) {
+        let mut instance = self.snapshot_instance;
+        let mut ics = self.ics;
+        for (_, op) in self.ops {
+            match op {
+                WalOp::Delta(delta) => instance.apply(delta.added, delta.removed),
+                WalOp::Constraint(con) => ics.push(con),
+            }
+        }
+        (instance, ics)
+    }
 }
 
 /// Everything guarded by the store's primary lock: the WAL handle, the
@@ -277,9 +295,9 @@ impl DurableStore {
 
     /// Open an existing store: verify the manifest and every referenced
     /// segment, sweep compaction debris, scan the WAL (truncating any
-    /// torn tail), and hand back the surviving ops for the caller to
-    /// replay. Fails with [`StorageError::NotAStore`] if `dir` has no
-    /// manifest.
+    /// torn tail), and hand back the surviving ops
+    /// ([`Recovered::into_state`] applies them). Fails with
+    /// [`StorageError::NotAStore`] if `dir` has no manifest.
     pub fn open(
         dir: &Path,
         options: StoreOptions,
@@ -702,16 +720,6 @@ mod tests {
         )
     }
 
-    fn replayed(rec: &Recovered) -> Instance {
-        let mut inst = rec.snapshot_instance.clone();
-        for (_, op) in &rec.ops {
-            if let WalOp::Delta(d) = op {
-                inst.apply(d.added.iter().cloned(), d.removed.iter().cloned());
-            }
-        }
-        inst
-    }
-
     #[test]
     fn create_then_open_recovers_seed_state() {
         let dir = tmpdir("seed");
@@ -776,7 +784,7 @@ mod tests {
         assert_eq!(seqs, vec![1, 2, 3, 4, 5]);
         assert_eq!(rec.report.last_seq, 5);
         assert_eq!(store.last_seq(), 5, "appends resume past recovery");
-        assert_eq!(replayed(&rec), inst);
+        assert_eq!(rec.into_state().0, inst);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -822,7 +830,7 @@ mod tests {
 
         let (_, rec) = DurableStore::open(&dir, StoreOptions::default()).unwrap();
         assert_eq!(rec.ops.len(), 32, "every acknowledged frame recovered");
-        assert_eq!(replayed(&rec).len(), 33);
+        assert_eq!(rec.into_state().0.len(), 33);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -950,7 +958,7 @@ mod tests {
         assert_eq!(rec.report.snapshot_last_seq, 3);
         assert_eq!(rec.report.frames_applied, 1);
         assert_eq!(rec.report.frames_skipped, 0);
-        assert_eq!(replayed(&rec), inst);
+        assert_eq!(rec.into_state().0, inst);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,8 +1,8 @@
 //! Durability walkthrough: create a persistent database, churn it,
 //! "crash" (drop without ceremony), and reopen — the recovered handle is
-//! byte-identical, reports what recovery found, and resumes with warm
-//! caches because the WAL is replayed through the incremental grounding
-//! engine rather than rebuilt from scratch.
+//! byte-identical and reports what recovery found. Reopening restores
+//! the data only: the caches start empty, the first program-route call
+//! grounds, and churn after it regrounds incrementally.
 //!
 //! Run with `cargo run --example persistence`.
 
@@ -55,11 +55,9 @@ fn main() -> Result<(), cqa::Error> {
     // acknowledged write is already on disk.
     drop(db);
 
-    // Reopen. Recovery loads the snapshot, replays surviving WAL frames
-    // (truncating any torn tail), and warms the grounding caches along
-    // the way: the snapshot state is grounded once, then the whole WAL
-    // drift is applied as ONE incremental evolve — cost scales with the
-    // net drift, not WAL length × grounding cost.
+    // Reopen. Recovery loads the snapshot and replays surviving WAL
+    // frames (truncating any torn tail). It grounds nothing: the caches
+    // start empty, as for a database built in memory.
     let mut db = Database::open(&dir)?;
     let report = db.recovery_report().expect("opened stores report");
     println!(
@@ -75,16 +73,16 @@ fn main() -> Result<(), cqa::Error> {
     assert_eq!(db.consistent_answers("q(v) :- s(u, v).")?, answers_before);
     println!("after recovery: identical repairs and consistent answers");
 
-    // The reopened handle starts *warm*: the first program-route query
-    // hits the recovered grounding, and further churn keeps riding the
-    // incremental reground path (stats prove it).
+    // The first program-route query grounds the recovered state (one
+    // miss); churn after it regrounds incrementally instead of
+    // rebuilding (the stats show it).
     let _ = db.repairs_via_program()?;
     db.insert("r", [cqa::s("post-crash"), cqa::s("clean")])?;
     let _ = db.repairs_via_program()?;
     let stats = db.caches().grounding.stats();
     println!(
-        "grounding cache after reopen + churn: {} hits, {} regrounds, {} rebuilds",
-        stats.hits, stats.regrounds, stats.rebuilds,
+        "grounding cache after reopen + churn: {} misses, {} hits, {} regrounds, {} rebuilds",
+        stats.misses, stats.hits, stats.regrounds, stats.rebuilds,
     );
 
     std::fs::remove_dir_all(&dir).ok();

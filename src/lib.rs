@@ -74,7 +74,7 @@ use cqa_core::{CoreError, CqaCaches, ProgramStyle, RepairConfig};
 use cqa_relational::{DatabaseAtom, Instance, InstanceDelta, Schema, Tuple};
 
 pub use cqa_relational::CancelToken;
-use cqa_storage::{DurableStore, RecoveryReport, StoreOptions, StoreStats, WalOp};
+use cqa_storage::{DurableStore, RecoveryReport, StoreOptions, StoreStats};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
@@ -155,10 +155,11 @@ impl From<cqa_relational::RelationalError> for Error {
 /// to the write-ahead log *before* mutating, so an acknowledged write
 /// survives `kill -9`. Under the default fsync policy acknowledgments
 /// are group-committed: concurrent appends share one covering fsync
-/// without weakening the contract. Recovery replays surviving frames
-/// through the same incremental grounding machinery ordinary churn
-/// uses, so a reopened database arrives consistent *and* warm.
-/// [`Database::storage_stats`] exposes the write-path counters.
+/// without weakening the contract. Recovery applies the surviving
+/// frames to the snapshot, so a reopened database holds every
+/// acknowledged write; its caches start empty and fill on demand, as
+/// for [`Database::new`]. [`Database::storage_stats`] exposes the
+/// write-path counters.
 /// Clones of a *persistent* database are **read-only**: two handles
 /// with divergent in-memory views interleaving WAL appends would leave
 /// the log describing a state neither handle holds, so the write role
@@ -288,23 +289,15 @@ impl Database {
     }
 
     /// Reopen the durable database at `path` with default
-    /// [`StoreOptions`]: load the snapshot, replay surviving WAL frames
-    /// (truncating any torn tail), and warm the grounding/worklist
-    /// caches along the way. [`Database::recovery_report`] says what
-    /// recovery found.
+    /// [`StoreOptions`]: load the snapshot and replay surviving WAL
+    /// frames (truncating any torn tail). Nothing is grounded or
+    /// scanned; the caches start empty, as for [`Database::new`].
+    /// [`Database::recovery_report`] says what recovery found.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, Error> {
         Database::open_with(path, StoreOptions::default())
     }
 
     /// [`Database::open`] with explicit [`StoreOptions`].
-    ///
-    /// Recovery replays the WAL through the same incremental paths
-    /// ordinary churn uses: the grounding cache is warmed on the
-    /// snapshot state, the deltas are applied, and the final state is
-    /// re-warmed — the second pass finds the drifted entry and evolves
-    /// it in place (DRed for removals, seminaive for insertions), so the
-    /// reopened database resumes the warm-cache trajectory a
-    /// never-crashed process had.
     pub fn open_with(path: impl AsRef<Path>, options: StoreOptions) -> Result<Self, Error> {
         Database::open_with_vfs(path, options, Arc::new(cqa_storage::RealVfs))
     }
@@ -318,45 +311,12 @@ impl Database {
         vfs: Arc<dyn cqa_storage::Vfs>,
     ) -> Result<Self, Error> {
         let (store, recovered) = DurableStore::open_with_vfs(path.as_ref(), options, vfs)?;
-        let caches = Arc::new(CqaCaches::new());
-        let style = ProgramStyle::default();
-        let mut instance = recovered.snapshot_instance;
-        let mut constraints = recovered.ics;
-        let replaying_constraints = recovered
-            .ops
-            .iter()
-            .any(|(_, op)| matches!(op, WalOp::Constraint(_)));
-        if !recovered.ops.is_empty() && !replaying_constraints {
-            // Ground the snapshot state first, then evolve that grounding
-            // across the whole WAL in one incremental step — the replay
-            // cost scales with the net drift, not the WAL length.
-            cqa_core::warm_caches_in(&instance, &constraints, style, &caches)?;
-        }
-        for (_, op) in &recovered.ops {
-            match op {
-                WalOp::Delta(delta) => {
-                    instance.apply(delta.added.iter().cloned(), delta.removed.iter().cloned());
-                }
-                // A replayed constraint changes the program itself, which
-                // invalidates any grounding keyed on the old constraint
-                // set — so with constraint frames in the log the single
-                // warm below (on the final state) is the whole warm-up.
-                WalOp::Constraint(con) => constraints.push(con.clone()),
-            }
-        }
-        cqa_core::warm_caches_in(&instance, &constraints, style, &caches)?;
-        Ok(Database {
-            instance,
-            constraints,
-            config: RepairConfig::default(),
-            program_style: style,
-            caches,
-            storage: Some(Arc::new(store)),
-            recovery: Some(recovered.report),
-            writer: true,
-            deadline: None,
-            cancel: CancelToken::new(),
-        })
+        let report = recovered.report.clone();
+        let (instance, constraints) = recovered.into_state();
+        let mut db = Database::new(instance, constraints);
+        db.storage = Some(Arc::new(store));
+        db.recovery = Some(report);
+        Ok(db)
     }
 
     /// What recovery found and did, if this database came from
@@ -705,15 +665,6 @@ impl Database {
         Ok(count)
     }
 
-    /// Replace this database's cache bundle with one whose grounding
-    /// cache is bounded by `budget` (summed `atoms + rules` across cached
-    /// ground programs). Detaches the tenant from any clones sharing the
-    /// old bundle.
-    pub fn with_grounding_budget(mut self, budget: usize) -> Self {
-        self.caches = Arc::new(CqaCaches::with_grounding_budget(budget));
-        self
-    }
-
     /// Is the database consistent under the paper's `|=_N`?
     pub fn is_consistent(&self) -> bool {
         cqa_constraints::is_consistent(&self.instance, &self.constraints)
@@ -795,9 +746,17 @@ impl Database {
         Ok(answers.tuples)
     }
 
-    /// Consistent answer for a boolean query: `yes`/`no`.
+    /// Consistent answer for a boolean query: `yes`/`no`. A query of
+    /// non-zero arity is refused with [`CoreError::InvalidQuery`] before
+    /// any engine runs.
     pub fn consistent_answer_boolean(&self, query: &str) -> Result<bool, Error> {
         let q = cqa_sql::parse_query(self.schema(), query)?;
+        if !q.is_boolean() {
+            return Err(Error::Core(CoreError::InvalidQuery(format!(
+                "a boolean query has arity 0, this one has arity {}",
+                q.arity()
+            ))));
+        }
         let answers = cqa_core::consistent_answers_governed(
             &self.instance,
             &self.constraints,

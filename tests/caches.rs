@@ -402,12 +402,3 @@ fn grounding_cache_eviction_is_size_aware() {
         "both keys fit the default budget"
     );
 }
-
-#[test]
-fn facade_budget_knob_detaches_the_bundle() {
-    let db = tenant("knob").with_grounding_budget(1);
-    let _ = db.repairs_via_program().unwrap();
-    let _ = db.repairs_via_program().unwrap();
-    let s = db.caches().grounding.stats();
-    assert_eq!((s.hits, s.misses), (1, 1), "tiny budget still caches one");
-}

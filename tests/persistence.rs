@@ -1,11 +1,14 @@
 //! Facade-level durability: `Database::persistent` / `Database::open`
-//! round-trips, recovery reports, corrupted-tail handling, and the
-//! warm-cache recovery trajectory (ISSUE 6 acceptance: reopen-then-churn
-//! shows *regrounds*, not rebuilds).
+//! round-trips, recovery reports, corrupted-tail handling, and the cache
+//! trajectory after a reopen: `open` grounds and scans nothing, the
+//! first program-route call grounds, and churn after it regrounds
+//! instead of rebuilding. A store whose constraints have no repair
+//! program still reopens.
 //!
 //! Every test owns a scratch directory under the system temp dir and
 //! cleans it up on entry, so re-runs and parallel tests never collide.
 
+use cqa::core::{CoreError, GroundingCacheStats, WorklistCacheStats};
 use cqa::storage::{FsyncPolicy, StoreOptions};
 use cqa::{Database, Error};
 use std::path::PathBuf;
@@ -72,9 +75,10 @@ fn create_churn_reopen_round_trips() {
 
 #[test]
 fn reopen_then_churn_regrounds_not_rebuilds() {
-    // Seed the *snapshot* with enough clean rows that the WAL drift and
-    // the post-reopen churn stay under the rebuild escape-hatch fraction
-    // — the incremental path is what this test pins.
+    // Seed the *snapshot* with enough clean rows that the post-reopen
+    // churn stays under the rebuild escape-hatch fraction — the
+    // incremental path is what this test pins. The four pads are the WAL
+    // tail `open` replays.
     let dir = scratch("warm");
     let mut script = String::from(SCRIPT);
     for k in 0..20 {
@@ -89,30 +93,32 @@ fn reopen_then_churn_regrounds_not_rebuilds() {
     }
     drop(db);
 
-    // Recovery replays the WAL through the incremental engine: the
-    // snapshot state is grounded (miss), then the whole WAL drift is
-    // evolved onto it (reground) — never a rebuild, and the reopened
-    // handle starts *warm*.
+    // Recovery rebuilds the instance and nothing else: no grounding, no
+    // root violation scan.
     let mut back = Database::open(&dir).unwrap();
-    let stats = back.caches().grounding.stats();
     assert_eq!(
-        (stats.misses, stats.regrounds, stats.rebuilds),
-        (1, 1, 0),
-        "recovery = one snapshot grounding + one incremental evolve"
+        back.caches().grounding.stats(),
+        GroundingCacheStats::default(),
+        "open grounds nothing"
+    );
+    assert_eq!(
+        back.caches().worklist.stats(),
+        WorklistCacheStats::default(),
+        "open scans nothing"
     );
 
-    // First query after reopen rides the recovered grounding: a pure hit.
+    // The first program-route call grounds the recovered state once.
     let first = back.repairs_via_program().unwrap();
     let stats = back.caches().grounding.stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1), "reopen starts warm");
+    assert_eq!((stats.hits, stats.misses), (0, 1), "first call grounds");
 
-    // Churn after reopen continues the incremental trajectory.
+    // Churn after reopen evolves that grounding incrementally.
     assert!(back.insert("r", [cqa::s("post"), cqa::s("z")]).unwrap());
     assert!(back.delete("r", [cqa::s("pad0"), cqa::s("z")]).unwrap());
     let second = back.repairs_via_program().unwrap();
     let stats = back.caches().grounding.stats();
     assert_eq!(stats.rebuilds, 0, "churn after reopen must not rebuild");
-    assert_eq!(stats.regrounds, 2, "…it regrounds incrementally");
+    assert_eq!(stats.regrounds, 1, "…it regrounds incrementally");
     // The clean churn rows shift the repair instances but not the
     // conflict structure: still the one key conflict, two resolutions.
     assert_eq!(first.len(), second.len());
@@ -226,6 +232,36 @@ fn constraints_persist_as_wal_frames() {
         "no compaction happened on the way"
     );
     assert_eq!(back.repairs().unwrap().len(), with_nnc.len());
+}
+
+/// A constraint with a repeated existential variable (the shape of the
+/// paper's Example 13) has Definition-7 repairs but no Definition-9
+/// program. A store holding one must still reopen with every
+/// acknowledged write; only the program route refuses.
+#[test]
+fn store_without_a_repair_program_reopens() {
+    let dir = scratch("noprogram");
+    let catalog = cqa::sql::parse_script(
+        "CREATE TABLE p (a TEXT, b TEXT);
+         CREATE TABLE q (a TEXT, b TEXT, c TEXT);",
+    )
+    .unwrap();
+    let mut db = Database::persistent(&dir, catalog.instance, catalog.constraints).unwrap();
+    db.add_constraint("rep", "p(x, y) -> exists z: q(x, z, z)")
+        .unwrap();
+    assert!(db.insert("p", [cqa::s("a"), cqa::s("b")]).unwrap());
+    let want_atoms: Vec<_> = db.instance().atoms().collect();
+    let want_repairs = db.repairs().unwrap();
+    drop(db);
+
+    let back = Database::open(&dir).unwrap();
+    let got_atoms: Vec<_> = back.instance().atoms().collect();
+    assert_eq!(got_atoms, want_atoms);
+    assert_eq!(back.repairs().unwrap(), want_repairs);
+    assert!(matches!(
+        back.repairs_via_program(),
+        Err(Error::Core(CoreError::UnsupportedByProgram { .. }))
+    ));
 }
 
 /// ISSUE 10 acceptance: `add_constraint` on a persistent database is an

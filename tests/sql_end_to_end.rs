@@ -34,6 +34,11 @@ fn example19_full_pipeline() {
         .is_empty());
     assert!(db.consistent_answer_boolean("b() :- r('a', y).").unwrap());
     assert!(!db.consistent_answer_boolean("b() :- r('a', 'b').").unwrap());
+    // A query with answer variables is not boolean: refused, not `no`.
+    assert!(matches!(
+        db.consistent_answer_boolean("q(x) :- r(x, y)."),
+        Err(cqa::Error::Core(cqa::core::CoreError::InvalidQuery(_)))
+    ));
 }
 
 /// Example 6 as SQL: check constraints and nulls.
