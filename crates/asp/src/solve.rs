@@ -18,7 +18,7 @@
 //! **first unique implication point** (1UIP), the learned clause is added
 //! to a clause store, and the solver backjumps non-chronologically to the
 //! assertion level. Learned clauses carry integer activities (bumped when
-//! they participate in an analysis, halved every [`DECAY_INTERVAL`]
+//! they participate in an analysis, halved every `DECAY_INTERVAL`
 //! conflicts) and the store is periodically reduced by **forgetting** the
 //! low-activity half — locked clauses (reasons of trail literals) and
 //! permanent clauses are kept.
@@ -51,7 +51,7 @@
 //! calls.
 //!
 //! On top of VSIDS the activity policy runs **Luby restarts** with
-//! **phase saving**: after `luby(k) ·` [`RESTART_UNIT`] conflicts the
+//! **phase saving**: after `luby(k) · RESTART_UNIT` conflicts the
 //! solver cancels to level 0 and re-descends (learned clauses and
 //! activities survive, so the restart re-enters the search where the
 //! conflict analysis points rather than where the last descent happened

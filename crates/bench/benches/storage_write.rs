@@ -1,18 +1,9 @@
-//! Bench: the cqa-storage write path — group commit vs per-append
-//! fsync, incremental vs full segment compaction, and constraint-frame
-//! append latency.
+//! Bench: the cqa-storage write path — incremental vs full segment
+//! compaction, and constraint-frame append latency.
 //!
-//! Three questions, each with a within-run gate or a recorded headline:
+//! Two questions, one with a within-run gate and one a recorded
+//! headline:
 //!
-//! * `append_group/8` vs `append_solo/8` — 8 concurrent writers each
-//!   appending 16 one-atom deltas under `FsyncPolicy::Always`. The solo
-//!   series disables group commit, so every append pays its own fsync
-//!   (128 per burst); the group series lets the leader's single fsync
-//!   cover every staged frame (`group_max_batch = 8`). `bench_check`
-//!   enforces `append_group/8 ≤ 1/3 × append_solo/8` in the same run —
-//!   the ISSUE-10 "grouped ≥ 3× per-append-fsync at batch width 8"
-//!   acceptance gate. Host-independent: both series issue identical
-//!   writes on the same filesystem; only the fsync schedule differs.
 //! * `compact_incremental/20` vs `compact_full/20` — a 20-relation
 //!   instance (200 rows each) with 2 relations dirty (10% churn).
 //!   Incremental compaction rewrites the 2 dirty segments and the
@@ -20,9 +11,9 @@
 //!   every segment. `bench_check` enforces `incremental ≤ 0.3 × full`
 //!   within the run — O(changed relations), not O(instance).
 //! * `add_constraint/1` — latency of appending one constraint frame
-//!   under `Always`. Before ISSUE 10 this forced a full snapshot
-//!   rewrite; now it is a single WAL append + fsync, and the absence of
-//!   compaction is pinned by `tests/persistence.rs`.
+//!   under `Always`: a single WAL append + fsync, never a snapshot
+//!   rewrite; the absence of compaction is pinned by
+//!   `tests/persistence.rs`.
 
 use cqa_bench::harness::Harness;
 use cqa_constraints::{Constraint, IcSet, Nnc};
@@ -30,16 +21,6 @@ use cqa_relational::{s, DatabaseAtom, Instance, InstanceDelta, RelId, Schema, Tu
 use cqa_storage::{DurableStore, FsyncPolicy, StoreOptions};
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::sync::Arc;
-
-/// Concurrent appenders in the group-commit burst (= the gated batch
-/// width: `group_max_batch` is set to this).
-const WRITERS: usize = 8;
-
-/// Appends per writer per burst — enough that thread-spawn overhead,
-/// identical in both series, stays small against the fsync schedule
-/// under comparison.
-const APPENDS_PER_WRITER: usize = 16;
 
 /// Relations in the compaction instance; 10% churn = 2 dirty.
 const RELS: usize = 20;
@@ -52,61 +33,10 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// One-relation store for the append burst; compaction disabled so the
-/// WAL keeps every frame and the timed region is appends + fsyncs only.
-fn append_store(tag: &str, group_commit: bool) -> (Arc<DurableStore>, RelId, PathBuf) {
-    let schema = Schema::builder()
-        .relation("r", ["x", "y"])
-        .finish()
-        .unwrap()
-        .into_shared();
-    let inst = Instance::empty(schema.clone());
-    let options = StoreOptions {
-        fsync: FsyncPolicy::Always,
-        compact_min_wal_bytes: u64::MAX,
-        group_commit,
-        // The leader lingers up to 200µs for stragglers but leaves the
-        // moment a full batch is staged (ignored by the solo series).
-        group_window_us: 200,
-        group_max_batch: WRITERS as u32,
-        ..StoreOptions::default()
-    };
-    let dir = scratch(tag);
-    let store = DurableStore::create(&dir, &inst, &IcSet::default(), options).unwrap();
-    (Arc::new(store), schema.rel_id("r").unwrap(), dir)
-}
-
-/// The shared burst: `WRITERS` threads, each appending
-/// `APPENDS_PER_WRITER` one-atom deltas through the same handle.
-fn append_burst(store: &Arc<DurableStore>, rel: RelId) -> u64 {
-    let handles: Vec<_> = (0..WRITERS)
-        .map(|w| {
-            let store = Arc::clone(store);
-            std::thread::spawn(move || {
-                let mut last = 0;
-                for k in 0..APPENDS_PER_WRITER {
-                    let mut delta = InstanceDelta::default();
-                    delta.added.insert(DatabaseAtom::new(
-                        rel,
-                        [s(&format!("w{w}")), s(&format!("k{k}"))].into(),
-                    ));
-                    last = store.append_delta(&delta).unwrap();
-                }
-                last
-            })
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| h.join().unwrap())
-        .max()
-        .unwrap()
-}
-
 /// A 20-relation instance (200 rows each) and a store whose automatic
 /// compaction is disabled — the bench calls `compact`/`compact_full`
 /// explicitly after dirtying exactly `DIRTY_RELS` relations.
-fn compaction_store(tag: &str) -> (Arc<DurableStore>, Instance, PathBuf) {
+fn compaction_store(tag: &str) -> (DurableStore, Instance, PathBuf) {
     let mut b = Schema::builder();
     for r in 0..RELS {
         b = b.relation_with_arity(format!("rel{r}"), 2);
@@ -131,7 +61,7 @@ fn compaction_store(tag: &str) -> (Arc<DurableStore>, Instance, PathBuf) {
     };
     let dir = scratch(tag);
     let store = DurableStore::create(&dir, &inst, &IcSet::default(), options).unwrap();
-    (Arc::new(store), inst, dir)
+    (store, inst, dir)
 }
 
 /// Mark `DIRTY_RELS` relations dirty via one appended delta — the 10%
@@ -149,35 +79,6 @@ fn dirty(store: &DurableStore) {
 
 fn storage_write() {
     let mut group = Harness::new("storage_write");
-
-    // -- Group commit vs per-append fsync at batch width 8 --
-    let (solo, rel, solo_dir) = append_store("solo", false);
-    let solo_ns = group
-        .bench("append_solo/8", || black_box(append_burst(&solo, rel)))
-        .median_ns;
-    let solo_stats = solo.stats();
-    drop(solo);
-    let _ = std::fs::remove_dir_all(&solo_dir);
-
-    let (grouped, rel, group_dir) = append_store("group", true);
-    let group_ns = group
-        .bench("append_group/8", || black_box(append_burst(&grouped, rel)))
-        .median_ns;
-    let group_stats = grouped.stats();
-    drop(grouped);
-    let _ = std::fs::remove_dir_all(&group_dir);
-
-    let ratio = group_ns as f64 / solo_ns.max(1) as f64;
-    println!(
-        "  -> group commit vs per-append fsync at width {WRITERS}: {:.1}x faster ({ratio:.3}x, target <= 0.33)",
-        solo_ns as f64 / group_ns.max(1) as f64
-    );
-    println!(
-        "  -> fsyncs per append: solo {:.2}, grouped {:.2} (mean batch {:.1} frames)",
-        solo_stats.fsyncs as f64 / solo_stats.appends.max(1) as f64,
-        group_stats.fsyncs as f64 / group_stats.appends.max(1) as f64,
-        group_stats.mean_group_batch(),
-    );
 
     // -- Incremental vs full compaction at 10% relations changed --
     let (store, inst, dir) = compaction_store("compact");
@@ -210,14 +111,25 @@ fn storage_write() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // -- Constraint-frame append latency --
-    // Solo config: a lone appender would otherwise pay the straggler
-    // window, and the headline here is the bare append + fsync cost.
-    let (store, _, dir) = append_store("constraint", false);
+    // Compaction disabled, so the timed region is one append + fsync.
     let schema = Schema::builder()
         .relation("r", ["x", "y"])
         .finish()
         .unwrap()
         .into_shared();
+    let options = StoreOptions {
+        fsync: FsyncPolicy::Always,
+        compact_min_wal_bytes: u64::MAX,
+        ..StoreOptions::default()
+    };
+    let dir = scratch("constraint");
+    let store = DurableStore::create(
+        &dir,
+        &Instance::empty(schema.clone()),
+        &IcSet::default(),
+        options,
+    )
+    .unwrap();
     let con: Constraint = Nnc::new(&schema, "nn_bench", "r", 0).unwrap().into();
     group.bench("add_constraint/1", || {
         black_box(store.append_constraint(&con).unwrap())

@@ -69,11 +69,6 @@ const RATIO_GATES: &[(&str, &str, &str, f64, &str)] = &[
     // repair, so the fast path must be at least 20x under it. Measured
     // ~0.002x; a planner that falls back to enumeration converges on 1x.
     ("fast_path", "fast_path/800", "enumeration/800", 0.05, "planner fast-path regression"),
-    // The same 8-writer append burst under `Always`, one leader fsync per
-    // batch vs one per append: grouped at least 3x faster. Measured
-    // ~0.19x. The absolute series are fsync-bound and deliberately not in
-    // `GUARDED`.
-    ("storage_write", "append_group/8", "append_solo/8", 1.0 / 3.0, "group commit no longer coalesces fsyncs"),
     // Compacting with 2 of 20 relations dirty rewrites only the dirty
     // segments plus the manifest. Measured ~0.17x; a compactor that
     // rewrites everything converges on the full series.
@@ -240,8 +235,8 @@ mod tests {
 
     #[test]
     fn ratio_gates_pass_at_cap_and_fail_above_it() {
-        // A denominator of 300 ns puts every cap (1.5, 1/4, 1/20, 1/3,
-        // 0.3) on a whole numerator, so "at cap" is exact.
+        // A denominator of 300 ns puts every cap (1.5, 1/4, 1/20, 0.3)
+        // on a whole numerator, so "at cap" is exact.
         for &(group, num, den, cap, meaning) in RATIO_GATES {
             let at_cap = (cap * 300.0).round() as u128;
             let line = ratio_line(group, (num, at_cap), (den, 300));

@@ -8,7 +8,7 @@
 //! (the exponential axis for repair enumeration and Π₂ᵖ-hard CQA).
 //!
 //! Randomness comes from the workspace's own deterministic
-//! [`XorShift`](cqa_relational::testing::XorShift) generator — no external
+//! [`XorShift`] generator — no external
 //! crates, and identical workloads on every run and platform.
 
 pub mod harness;

@@ -13,7 +13,7 @@
 //!   multi-attribute FD/key/IC probe is a single packed-key lookup with no
 //!   residual filtering on determined positions. Buckets are
 //!   `BTreeSet<Tuple>`, so swapping a scan for a probe never changes match
-//!   enumeration order — the indexed full check ([`violations`]) reports
+//!   enumeration order — the indexed full check ([`crate::violations`]) reports
 //!   exactly the naive order, which the property suite pins down. With
 //!   interned values ([`cqa_relational::symbol`]), every probe hashes and
 //!   compares integers, independent of string content.

@@ -177,73 +177,54 @@ pub fn consistent_answers_enumerated_governed(
 ) -> Result<AnswerSet, CoreError> {
     let repairs = repairs_with_config_governed(d, ics, config, caches, cancel)?;
     let threads = match config.strategy {
-        SearchStrategy::Parallel { threads } => threads.max(1),
+        SearchStrategy::Parallel { threads } => threads,
         _ => 1,
     };
     let evaluated = AtomicUsize::new(0);
-    let interrupted = || CoreError::Interrupted {
-        phase: InterruptPhase::QueryEvaluation,
-        partial: evaluated.load(Ordering::Relaxed),
-    };
-    let mut acc: BTreeSet<Tuple> = if threads > 1 && repairs.len() > 1 {
-        let empty = AtomicBool::new(false);
-        let chunks = crate::parallel::map_chunks(repairs.len(), threads, |range| {
-            let mut local: Option<BTreeSet<Tuple>> = None;
-            for repair in &repairs[range] {
-                if empty.load(Ordering::Relaxed) || cancel.is_cancelled() {
-                    break;
-                }
-                let answers = query.eval_with(repair, query_semantics);
-                evaluated.fetch_add(1, Ordering::Relaxed);
-                local = Some(match local {
-                    None => answers,
-                    Some(mut seen) => {
-                        seen.retain(|t| answers.contains(t));
-                        seen
-                    }
-                });
-                if local.as_ref().is_some_and(BTreeSet::is_empty) {
-                    empty.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-            local
-        });
-        if cancel.is_cancelled() && !empty.load(Ordering::Relaxed) {
-            return Err(interrupted());
-        }
-        if empty.load(Ordering::Relaxed) {
-            // Some subset of repairs already intersects to nothing, so the
-            // full intersection is empty — identical to the serial result.
-            BTreeSet::new()
-        } else {
-            let mut parts = chunks.into_iter().flatten();
-            let mut acc = parts.next().unwrap_or_default();
-            for part in parts {
-                acc.retain(|t| part.contains(t));
-            }
-            acc
-        }
-    } else {
-        let mut iter = repairs.iter();
-        let mut acc: BTreeSet<Tuple> = match iter.next() {
-            Some(first) => {
-                let answers = query.eval_with(first, query_semantics);
-                evaluated.fetch_add(1, Ordering::Relaxed);
-                answers
-            }
-            None => BTreeSet::new(), // unreachable: repairs always exist
-        };
-        for repair in iter {
-            if acc.is_empty() {
+    let empty = AtomicBool::new(false);
+    // One loop for every thread count: with one worker, `map_chunks`
+    // runs its single chunk inline.
+    let chunks = crate::parallel::map_chunks(repairs.len(), threads, |range| {
+        let mut local: Option<BTreeSet<Tuple>> = None;
+        for repair in &repairs[range] {
+            if empty.load(Ordering::Relaxed) || cancel.is_cancelled() {
                 break;
-            }
-            if cancel.is_cancelled() {
-                return Err(interrupted());
             }
             let answers = query.eval_with(repair, query_semantics);
             evaluated.fetch_add(1, Ordering::Relaxed);
-            acc.retain(|t| answers.contains(t));
+            local = Some(match local {
+                None => answers,
+                Some(mut seen) => {
+                    seen.retain(|t| answers.contains(t));
+                    seen
+                }
+            });
+            if local.as_ref().is_some_and(BTreeSet::is_empty) {
+                empty.store(true, Ordering::Relaxed);
+                break;
+            }
+        }
+        local
+    });
+    let (empty, evaluated) = (empty.into_inner(), evaluated.into_inner());
+    // Interrupted means some repair went unevaluated without an empty
+    // intersection to excuse it; a token that trips after the last
+    // evaluation does not discard a complete answer.
+    if !empty && evaluated < repairs.len() {
+        return Err(CoreError::Interrupted {
+            phase: InterruptPhase::QueryEvaluation,
+            partial: evaluated,
+        });
+    }
+    let mut acc = if empty {
+        // Some subset of repairs already intersects to nothing, so the
+        // full intersection is empty.
+        BTreeSet::new()
+    } else {
+        let mut parts = chunks.into_iter().flatten();
+        let mut acc = parts.next().unwrap_or_default();
+        for part in parts {
+            acc.retain(|t| part.contains(t));
         }
         acc
     };

@@ -74,7 +74,7 @@ use cqa_asp::{
     SolveOptions,
 };
 use cqa_constraints::{classify::classify, Constraint, Ic, IcClass, IcSet, Term};
-use cqa_relational::{CancelToken, Instance, RelId, Schema, Tuple, Value};
+use cqa_relational::{CancelToken, DatabaseAtom, Instance, RelId, Schema, Tuple, Value};
 use std::collections::BTreeMap;
 
 /// Which variant of the repair program to generate.
@@ -537,25 +537,29 @@ pub fn repairs_via_program_solved(
         other => CoreError::Asp(other),
     })?;
     drop(solver);
-    let mut out: Vec<Instance> = Vec::new();
+    let mut repairs = Vec::with_capacity(models.len());
     for m in &models {
         if cancel.is_cancelled() {
             return Err(CoreError::Interrupted {
                 phase: InterruptPhase::ModelEnumeration,
-                partial: out.len(),
+                partial: repairs.len(),
             });
         }
-        let inst = extract_instance_with_base(d, state.program(), gp, m)?;
-        if !out.contains(&inst) {
-            out.push(inst);
-        }
+        repairs.push(extract_instance_with_base(d, state.program(), gp, m)?);
     }
-    out.sort_by(|a, b| {
-        a.atoms()
-            .collect::<Vec<_>>()
-            .cmp(&b.atoms().collect::<Vec<_>>())
-    });
-    Ok(out)
+    // Free the models before the keys exist, so the two never share
+    // the peak.
+    drop(models);
+    // Each repair keyed by its atom list, collected once. Equal lists
+    // mean equal instances, so sorting on the key and dropping equal
+    // neighbours both orders and de-duplicates.
+    let mut keyed: Vec<(Vec<DatabaseAtom>, Instance)> = repairs
+        .into_iter()
+        .map(|inst| (inst.atoms().collect(), inst))
+        .collect();
+    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+    keyed.dedup_by(|a, b| a.0 == b.0);
+    Ok(keyed.into_iter().map(|(_, inst)| inst).collect())
 }
 
 #[cfg(test)]

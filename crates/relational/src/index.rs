@@ -11,8 +11,8 @@
 //! hashing and comparing a key is a few integer operations regardless of
 //! string lengths.
 //!
-//! Indexes are built lazily on first request ([`Instance::index_on`],
-//! [`Instance::index_on_cols`]) and maintained incrementally on every
+//! Indexes are built lazily on first request ([`crate::Instance::index_on`],
+//! [`crate::Instance::index_on_cols`]) and maintained incrementally on every
 //! subsequent insert/remove, so constraint checking can replace full
 //! relation scans with O(1) hash probes while mutating search code (the
 //! repair engine) pays only O(#registered indexes of the touched relation)
@@ -31,7 +31,7 @@
 //!   probe result is in the same deterministic order as scanning the
 //!   relation — swapping a scan for a probe never changes enumeration
 //!   order of matches.
-//! * **Snapshot semantics.** [`Instance::index_on`] returns an
+//! * **Snapshot semantics.** [`crate::Instance::index_on`] returns an
 //!   `Arc`-backed snapshot. It is detached from future mutations of the
 //!   instance: re-fetch after mutating (probing a stale snapshot yields
 //!   the tuples of the instance *at fetch time*).

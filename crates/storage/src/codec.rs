@@ -4,7 +4,7 @@
 //!
 //! ## Symbol remapping
 //!
-//! [`Symbol`](cqa_relational::Symbol) ids are *process-local*: the global
+//! [`Symbol`] ids are *process-local*: the global
 //! interner assigns dense `u32`s in first-sight order, so the id of
 //! `"alice"` in the process that wrote a file tells the process that
 //! reads it nothing. Every serialized section that contains values

@@ -81,28 +81,18 @@
 //! Value ordering survives the remap because `Symbol`'s `Ord` is
 //! lexicographic on the resolved text, never on the id.
 //!
-//! ### Fsync semantics and group commit
+//! ### Fsync semantics
 //!
 //! [`FsyncPolicy`] governs when appended WAL frames reach stable
-//! storage: `Always` (every acknowledged write survives power loss),
-//! `EveryN(n)` (loss window bounded by n-1 acknowledged frames), or
+//! storage: `Always` (every acknowledged write survives power loss) or
 //! `Never` (the OS page cache decides — process crashes still lose
 //! nothing, since the page cache outlives the process). Snapshot writes
 //! always sync, regardless of policy.
 //!
-//! Under `Always`, the fsync is **group-committed** by default
-//! ([`StoreOptions::group_commit`]): an append stages its frame and is
-//! acknowledged once a *leader* — the first appender to arrive at the
-//! commit rendezvous — issues one fsync covering every frame written so
-//! far. Concurrent appenders therefore share fsyncs instead of paying
-//! one each, while the acknowledgment contract stays exactly
-//! per-append-fsync's: **an append does not return until stable storage
-//! covers its frame; nothing is ever acknowledged that a reopen can
-//! lose.** If the covering fsync fails, every append it would have
-//! acknowledged returns an error and none of those frames count as
-//! durable. [`StoreOptions::group_window_us`] optionally lets the
-//! leader linger for stragglers; [`StoreOptions::group_max_batch`]
-//! skips the linger once enough frames are waiting.
+//! Under `Always`, an append writes its frame and fsyncs it under the
+//! store lock before it returns: **nothing is ever acknowledged that a
+//! reopen can lose.** If the fsync fails, the append returns the error
+//! and its frame does not count as acknowledged.
 //!
 //! ### Compaction
 //!
@@ -121,9 +111,9 @@
 //! ### Observability
 //!
 //! [`DurableStore::stats`] returns a [`StoreStats`] with the write-path
-//! counters — appends, fsyncs, group-commit batch sizes, segments
-//! written vs reused — following the same named-stats convention as the
-//! engine-side cache stats.
+//! counters — appends, fsyncs, WAL bytes, segments written vs reused —
+//! following the same named-stats convention as the engine-side cache
+//! stats.
 //!
 //! ## Failure model
 //!
@@ -153,8 +143,8 @@
 //!   returning an error at any point. Contract: the error propagates as
 //!   [`StorageError`]; on-disk state remains one of the two states the
 //!   writer protocol allows (old or new), so a subsequent open recovers
-//!   a consistent prefix. A failed group-commit fsync errors *every*
-//!   append that fsync would have acknowledged.
+//!   a consistent prefix. A failed WAL fsync errors the append it
+//!   would have acknowledged.
 //! * **Crash between protocol steps** — e.g. after segments are written
 //!   but before the manifest, after `manifest.tmp` is written but
 //!   before the rename, or after the rename but before the directory
@@ -166,8 +156,8 @@
 //! persisting (the contract is only as strong as `fsync`), collisions
 //! of CRC-32 (detection, not authentication), and concurrent writers
 //! (single write role, enforced by the facade's clone semantics;
-//! concurrent *appends through one handle* are in scope and exactly
-//! what group commit coalesces).
+//! concurrent *appends through one handle* are in scope and serialised
+//! by the store lock).
 //!
 //! The test oracle is equivalence: for every injected fault, either the
 //! operation reports a typed error and the reopened store equals the

@@ -1,6 +1,5 @@
 //! The durable store: one directory holding a segmented snapshot plus a
-//! WAL, with the recovery, group-commit and compaction protocol between
-//! them.
+//! WAL, with the recovery and compaction protocol between them.
 //!
 //! ## Directory layout
 //!
@@ -18,17 +17,10 @@
 //!
 //! - **WAL-before-state**: callers append an op *before* mutating
 //!   in-memory state, and the append does not return under
-//!   [`FsyncPolicy::Always`] until an fsync covers it. An acknowledged
-//!   write is therefore always recoverable.
-//! - **Group commit**: under `Always` with
-//!   [`StoreOptions::group_commit`] enabled, the fsync is issued by a
-//!   *leader* — the first appender to arrive — whose single
-//!   `fdatasync` covers every frame written before it, including frames
-//!   other threads appended while the leader was waiting its turn.
-//!   Followers block until the leader reports a durable (or failed)
-//!   sequence number at or past their own. The acknowledgment contract
-//!   is byte-for-byte the one per-append fsync gives: nothing returns
-//!   to the caller that a reopen can lose.
+//!   [`FsyncPolicy::Always`] until its own fsync has succeeded. An
+//!   acknowledged write is therefore always recoverable. Concurrent
+//!   appends through one handle are serialised by the store lock, each
+//!   with its own fsync.
 //! - **Monotonic sequence numbers**: frame seqs start at 1 and are never
 //!   reused, even across compactions. The manifest records the highest
 //!   seq folded into it (`last_seq`); recovery applies only frames with
@@ -59,31 +51,14 @@ use crate::wal::{FsyncPolicy, Wal};
 use cqa_constraints::{Constraint, IcSet};
 use cqa_relational::{Instance, InstanceDelta, RelId};
 use std::collections::BTreeSet;
-use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 /// Tuning knobs for a [`DurableStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct StoreOptions {
     /// When appended WAL frames are flushed to stable storage.
     pub fsync: FsyncPolicy,
-    /// Coalesce `Always`-policy fsyncs across concurrent appenders: one
-    /// leader fsync acknowledges the whole batch. Identical crash
-    /// contract; with a single appender and no
-    /// [`StoreOptions::group_window_us`] it degenerates to one fsync
-    /// per append.
-    pub group_commit: bool,
-    /// How long a group-commit leader lingers for stragglers before
-    /// issuing its fsync, in microseconds. The leader polls, so it
-    /// leaves the window early the moment
-    /// [`StoreOptions::group_max_batch`] frames are staged. `0` syncs
-    /// immediately, coalescing only frames that have already landed.
-    pub group_window_us: u64,
-    /// A leader stops lingering once this many frames are already
-    /// awaiting the fsync.
-    pub group_max_batch: u32,
     /// Compaction triggers when `wal_bytes > snapshot_bytes * num / den`
     /// (and the WAL exceeds [`StoreOptions::compact_min_wal_bytes`]).
     pub compact_num: u64,
@@ -98,9 +73,6 @@ impl Default for StoreOptions {
     fn default() -> Self {
         StoreOptions {
             fsync: FsyncPolicy::Always,
-            group_commit: true,
-            group_window_us: 0,
-            group_max_batch: 64,
             compact_num: 1,
             compact_den: 1,
             compact_min_wal_bytes: 64 * 1024,
@@ -117,15 +89,9 @@ pub struct StoreStats {
     pub appends: u64,
     /// Constraint frames among the appends.
     pub constraint_frames: u64,
-    /// fsyncs issued on the WAL (any policy, group or solo).
+    /// fsyncs issued on the WAL (per-append under `Always`, plus
+    /// explicit [`DurableStore::sync`] calls).
     pub fsyncs: u64,
-    /// Group-commit fsyncs among them (leader syncs).
-    pub group_commits: u64,
-    /// Total frames acknowledged by group-commit fsyncs; divide by
-    /// [`StoreStats::group_commits`] for the mean batch size.
-    pub group_batch_frames: u64,
-    /// Largest single group-commit batch.
-    pub group_batch_max: u64,
     /// Current WAL length in bytes (sampled when the stats are read).
     pub wal_bytes: u64,
     /// Snapshot compactions performed by this handle.
@@ -134,18 +100,6 @@ pub struct StoreStats {
     pub segments_written: u64,
     /// Segment entries reused by reference across those compactions.
     pub segments_reused: u64,
-}
-
-impl StoreStats {
-    /// Mean group-commit batch size (0.0 before the first group
-    /// commit).
-    pub fn mean_group_batch(&self) -> f64 {
-        if self.group_commits == 0 {
-            0.0
-        } else {
-            self.group_batch_frames as f64 / self.group_commits as f64
-        }
-    }
 }
 
 /// What recovery found and did, for observability and tests.
@@ -216,33 +170,20 @@ struct StoreInner {
     /// ops recovered from the WAL at open). Their segments must be
     /// rewritten at the next compaction; everything else is reused.
     dirty: BTreeSet<RelId>,
-    /// Appends since the last fsync, for [`FsyncPolicy::EveryN`].
-    pending_syncs: u32,
     stats: StoreStats,
-}
-
-/// Group-commit rendezvous state: which seqs are durable, which failed,
-/// and whether a leader currently owns the fsync.
-#[derive(Debug, Default)]
-struct GroupState {
-    durable_seq: u64,
-    failed_seq: u64,
-    failed_msg: String,
-    leader_active: bool,
 }
 
 /// A manifest + segments + WAL ensemble rooted at one directory.
 ///
-/// All methods take `&self`; internal locking makes concurrent appends
-/// safe, which is what group commit coalesces across.
+/// All methods take `&self`; one internal lock serialises them, so
+/// concurrent appends through one handle are safe, and under
+/// [`FsyncPolicy::Always`] each is made durable by its own fsync.
 #[derive(Debug)]
 pub struct DurableStore {
     dir: PathBuf,
     options: StoreOptions,
     vfs: Arc<dyn Vfs>,
     inner: Mutex<StoreInner>,
-    commit: Mutex<GroupState>,
-    commit_cv: Condvar,
 }
 
 impl DurableStore {
@@ -285,11 +226,8 @@ impl DurableStore {
                 wal,
                 layout: outcome.layout,
                 dirty: BTreeSet::new(),
-                pending_syncs: 0,
                 stats: StoreStats::default(),
             }),
-            commit: Mutex::new(GroupState::default()),
-            commit_cv: Condvar::new(),
         })
     }
 
@@ -380,14 +318,8 @@ impl DurableStore {
                 wal,
                 layout: snap.layout,
                 dirty,
-                pending_syncs: 0,
                 stats: StoreStats::default(),
             }),
-            commit: Mutex::new(GroupState {
-                durable_seq: last_seq,
-                ..GroupState::default()
-            }),
-            commit_cv: Condvar::new(),
         };
         Ok((
             store,
@@ -430,148 +362,37 @@ impl DurableStore {
         self.append_payload(encode_constraint_op(con), BTreeSet::new(), true)
     }
 
+    /// The one append step, under the store lock: write the frame, mark
+    /// its relations dirty, count it and, under [`FsyncPolicy::Always`],
+    /// fsync before returning. A failed fsync returns the error, so the
+    /// caller never acknowledges the write.
     fn append_payload(
         &self,
         payload: Vec<u8>,
         dirty_rels: BTreeSet<RelId>,
         is_constraint: bool,
     ) -> Result<u64, StorageError> {
-        let seq;
-        {
-            let mut inner = self.lock_inner();
-            seq = inner.wal.append(&payload)?;
-            inner.dirty.extend(dirty_rels);
-            inner.stats.appends += 1;
-            if is_constraint {
-                inner.stats.constraint_frames += 1;
-            }
-            match self.options.fsync {
-                FsyncPolicy::Always => {
-                    if !self.options.group_commit {
-                        inner.wal.sync()?;
-                        inner.stats.fsyncs += 1;
-                        return Ok(seq);
-                    }
-                    // Fall through to the group-commit rendezvous,
-                    // outside the inner lock so other appenders can
-                    // land frames for the leader's fsync to cover.
-                }
-                FsyncPolicy::EveryN(n) => {
-                    inner.pending_syncs += 1;
-                    if inner.pending_syncs >= n.max(1) {
-                        inner.wal.sync()?;
-                        inner.stats.fsyncs += 1;
-                        inner.pending_syncs = 0;
-                    }
-                    return Ok(seq);
-                }
-                FsyncPolicy::Never => return Ok(seq),
-            }
-        }
-        self.group_commit_wait(seq)?;
-        Ok(seq)
-    }
-
-    /// Block until `seq` is covered by an fsync (ours or another
-    /// thread's), becoming the group-commit leader if nobody is.
-    fn group_commit_wait(&self, seq: u64) -> Result<(), StorageError> {
-        let mut g = self.commit.lock().expect("commit lock");
-        loop {
-            if g.durable_seq >= seq {
-                return Ok(());
-            }
-            if g.failed_seq >= seq {
-                // The fsync that would have covered this frame failed;
-                // the frame was never acknowledged as durable.
-                return Err(StorageError::Io(io::Error::other(format!(
-                    "group commit failed: {}",
-                    g.failed_msg
-                ))));
-            }
-            if !g.leader_active {
-                g.leader_active = true;
-                let durable_before = g.durable_seq;
-                drop(g);
-                let led = self.lead_group_commit(durable_before);
-                let mut after = self.commit.lock().expect("commit lock");
-                after.leader_active = false;
-                match led {
-                    Ok(written) => after.durable_seq = after.durable_seq.max(written),
-                    Err((written, msg)) => {
-                        after.failed_seq = after.failed_seq.max(written);
-                        after.failed_msg = msg;
-                    }
-                }
-                self.commit_cv.notify_all();
-                g = after;
-                // Loop around: re-check our own seq against the new
-                // durable/failed horizons.
-                continue;
-            }
-            g = self.commit_cv.wait(g).expect("commit lock");
-        }
-    }
-
-    /// Issue the leader's fsync, optionally lingering up to the
-    /// straggler window first. The linger is a poll, not a fixed sleep:
-    /// it ends the moment `group_max_batch` frames are staged, so a
-    /// full batch never pays the window and a lone appender pays it at
-    /// most once. Returns the highest written seq the fsync covered, or
-    /// that seq plus the failure message.
-    fn lead_group_commit(&self, durable_before: u64) -> Result<u64, (u64, String)> {
-        if self.options.group_window_us > 0 {
-            let deadline =
-                std::time::Instant::now() + Duration::from_micros(self.options.group_window_us);
-            loop {
-                let pending = self.lock_inner().wal.next_seq() - 1 - durable_before;
-                if pending >= self.options.group_max_batch as u64
-                    || std::time::Instant::now() >= deadline
-                {
-                    break;
-                }
-                // Let stragglers run and stage their frames; the window
-                // bounds the spin.
-                std::thread::yield_now();
-            }
-        }
         let mut inner = self.lock_inner();
-        let written = inner.wal.next_seq() - 1;
-        match inner.wal.sync() {
-            Ok(()) => {
-                inner.stats.fsyncs += 1;
-                inner.stats.group_commits += 1;
-                let batch = written.saturating_sub(durable_before);
-                inner.stats.group_batch_frames += batch;
-                inner.stats.group_batch_max = inner.stats.group_batch_max.max(batch);
-                Ok(written)
-            }
-            Err(e) => Err((written, e.to_string())),
+        let seq = inner.wal.append(&payload)?;
+        inner.dirty.extend(dirty_rels);
+        inner.stats.appends += 1;
+        if is_constraint {
+            inner.stats.constraint_frames += 1;
         }
+        if self.options.fsync == FsyncPolicy::Always {
+            inner.wal.sync()?;
+            inner.stats.fsyncs += 1;
+        }
+        Ok(seq)
     }
 
     /// Force all appended frames to stable storage, regardless of
     /// policy.
     pub fn sync(&self) -> Result<(), StorageError> {
-        let written;
-        {
-            let mut inner = self.lock_inner();
-            inner.wal.sync()?;
-            inner.stats.fsyncs += 1;
-            inner.pending_syncs = 0;
-            written = inner.wal.next_seq() - 1;
-        }
-        self.advance_durable(written);
+        let mut inner = self.lock_inner();
+        inner.wal.sync()?;
+        inner.stats.fsyncs += 1;
         Ok(())
-    }
-
-    /// Record that everything at or below `written` is durable and wake
-    /// any group-commit waiters it unblocks.
-    fn advance_durable(&self, written: u64) {
-        let mut g = self.commit.lock().expect("commit lock");
-        if written > g.durable_seq {
-            g.durable_seq = written;
-            self.commit_cv.notify_all();
-        }
     }
 
     /// The highest sequence number handed out so far (0 if none).
@@ -633,48 +454,40 @@ impl DurableStore {
         ics: &IcSet,
         full: bool,
     ) -> Result<(), StorageError> {
-        let written;
-        {
-            let mut inner = self.lock_inner();
-            let last_seq = inner.wal.next_seq() - 1;
-            written = last_seq;
-            let all_dirty: BTreeSet<RelId>;
-            let dirty: &BTreeSet<RelId> = if full {
-                // "Everything is dirty" rather than `prev: None`: the
-                // epoch still advances, so fresh segments never reuse a
-                // name the live manifest references.
-                all_dirty = instance.schema().rel_ids().collect();
-                &all_dirty
-            } else {
-                &inner.dirty
-            };
-            let outcome = snapshot::write_with(
-                self.vfs.as_ref(),
-                &self.dir,
-                instance,
-                ics,
-                last_seq,
-                Some((&inner.layout, dirty)),
-            )?;
-            // The new manifest is committed; replaced segment files are
-            // garbage. Deleting them is best-effort housekeeping —
-            // leftovers are swept on the next open.
-            for seg in &inner.layout.segments {
-                if !outcome.layout.references(&seg.name) {
-                    let _ = self.vfs.remove_file(&self.dir.join(&seg.name));
-                }
+        let mut inner = self.lock_inner();
+        let last_seq = inner.wal.next_seq() - 1;
+        let all_dirty: BTreeSet<RelId>;
+        let dirty: &BTreeSet<RelId> = if full {
+            // "Everything is dirty" rather than `prev: None`: the
+            // epoch still advances, so fresh segments never reuse a
+            // name the live manifest references.
+            all_dirty = instance.schema().rel_ids().collect();
+            &all_dirty
+        } else {
+            &inner.dirty
+        };
+        let outcome = snapshot::write_with(
+            self.vfs.as_ref(),
+            &self.dir,
+            instance,
+            ics,
+            last_seq,
+            Some((&inner.layout, dirty)),
+        )?;
+        // The new manifest is committed; replaced segment files are
+        // garbage. Deleting them is best-effort housekeeping —
+        // leftovers are swept on the next open.
+        for seg in &inner.layout.segments {
+            if !outcome.layout.references(&seg.name) {
+                let _ = self.vfs.remove_file(&self.dir.join(&seg.name));
             }
-            inner.layout = outcome.layout;
-            inner.dirty.clear();
-            inner.pending_syncs = 0;
-            inner.stats.compactions += 1;
-            inner.stats.segments_written += outcome.segments_written;
-            inner.stats.segments_reused += outcome.segments_reused;
-            inner.wal.reset()?;
         }
-        // Every folded frame is durable in the snapshot now; unblock any
-        // group-commit waiters still parked on those seqs.
-        self.advance_durable(written);
+        inner.layout = outcome.layout;
+        inner.dirty.clear();
+        inner.stats.compactions += 1;
+        inner.stats.segments_written += outcome.segments_written;
+        inner.stats.segments_reused += outcome.segments_reused;
+        inner.wal.reset()?;
         Ok(())
     }
 
@@ -789,43 +602,42 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_appends_share_group_fsyncs() {
-        let dir = tmpdir("group");
+    fn concurrent_appends_are_each_durable() {
+        let dir = tmpdir("concurrent");
         let (inst, ics) = seed();
-        let opts = StoreOptions {
-            group_window_us: 2_000,
-            group_max_batch: 8,
-            ..StoreOptions::default()
-        };
-        let store = Arc::new(DurableStore::create(&dir, &inst, &ics, opts).unwrap());
+        let store =
+            Arc::new(DurableStore::create(&dir, &inst, &ics, StoreOptions::default()).unwrap());
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let store = Arc::clone(&store);
                 let inst = inst.clone();
                 std::thread::spawn(move || {
-                    for k in 0..4 {
-                        let a = atom(&inst, &format!("t{t}w{k}"), "y");
-                        let mut delta = InstanceDelta::default();
-                        delta.added.insert(a);
-                        store.append_delta(&delta).unwrap();
-                    }
+                    (0..4)
+                        .map(|k| {
+                            let mut delta = InstanceDelta::default();
+                            delta.added.insert(atom(&inst, &format!("t{t}w{k}"), "y"));
+                            store.append_delta(&delta).unwrap()
+                        })
+                        .collect::<Vec<u64>>()
                 })
             })
             .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let stats = store.stats();
-        assert_eq!(stats.appends, 32);
-        assert!(
-            stats.fsyncs < 32,
-            "32 concurrent appends must coalesce below 32 fsyncs, got {}",
-            stats.fsyncs
+        let mut seqs: Vec<u64> = threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect();
+        seqs.sort_unstable();
+        assert_eq!(
+            seqs,
+            (1..=32).collect::<Vec<u64>>(),
+            "each seq handed out once"
         );
-        assert!(stats.group_commits > 0);
-        assert_eq!(stats.group_batch_frames, 32, "every frame acked by a group");
-        assert!(stats.group_batch_max >= 2);
-        assert!(stats.mean_group_batch() > 1.0);
+        let stats = store.stats();
+        assert_eq!(
+            (stats.appends, stats.fsyncs),
+            (32, 32),
+            "one fsync per acknowledged append"
+        );
         drop(store);
 
         let (_, rec) = DurableStore::open(&dir, StoreOptions::default()).unwrap();

@@ -54,25 +54,18 @@ const FRAME_HEADER: usize = 16;
 /// storage.
 ///
 /// The knob trades acknowledged-write durability for append latency:
-/// `Always` survives power loss at every acknowledged write; `EveryN`
-/// bounds the loss window to the last n-1 acknowledged frames;
-/// `Never` leaves flushing to the OS page cache (process crashes — the
+/// `Always` survives power loss at every acknowledged write; `Never`
+/// leaves flushing to the OS page cache (process crashes — the
 /// crash-harness scenario — still lose nothing, because the page cache
 /// survives the process).
 ///
 /// The policy is interpreted by [`DurableStore`](crate::DurableStore),
 /// not by [`Wal`] itself: `Wal::append` only writes, and the store
-/// decides when to call [`Wal::sync`] — that separation is what lets a
-/// group-commit leader cover many appended frames with one fsync.
+/// calls [`Wal::sync`] after each append under `Always`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` after every appended frame (coalesced into one fsync per
-    /// batch when group commit is enabled — the acknowledgment contract
-    /// is identical either way).
+    /// `fsync` after every appended frame, before the append returns.
     Always,
-    /// `fsync` after every n-th appended frame (n ≥ 1; 1 behaves like
-    /// `Always`).
-    EveryN(u32),
     /// Never `fsync` from the store; the OS decides.
     Never,
 }
@@ -227,10 +220,8 @@ impl Wal {
 
     /// Append one payload as a frame; returns its sequence number. The
     /// frame is *written, not synced* — durability is the caller's move
-    /// ([`Wal::sync`]), which is what lets the store's group-commit
-    /// leader cover a whole batch of appended frames with one fsync.
-    /// Callers must not acknowledge the write (mutate in-memory state
-    /// and return to their caller) until the covering sync has
+    /// ([`Wal::sync`]). Callers must not acknowledge the write (mutate
+    /// in-memory state and return to their caller) until that sync has
     /// succeeded, when their fsync policy requires one.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StorageError> {
         let seq = self.next_seq;

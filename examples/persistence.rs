@@ -30,7 +30,7 @@ fn main() -> Result<(), cqa::Error> {
         catalog.constraints,
         StoreOptions {
             // Every acknowledged write is fsynced before `insert`
-            // returns; `EveryN(n)` and `Never` trade that for latency.
+            // returns; `Never` trades that for latency.
             fsync: FsyncPolicy::Always,
             ..StoreOptions::default()
         },

@@ -153,9 +153,8 @@ impl From<cqa_relational::RelationalError> for Error {
 /// snapshot): every `insert`/`delete`/`*_many`/`*_all` appends an
 /// [`InstanceDelta`] frame — and `add_constraint` a constraint frame —
 /// to the write-ahead log *before* mutating, so an acknowledged write
-/// survives `kill -9`. Under the default fsync policy acknowledgments
-/// are group-committed: concurrent appends share one covering fsync
-/// without weakening the contract. Recovery applies the surviving
+/// survives `kill -9`. Under the default fsync policy each append is
+/// fsynced before the call returns. Recovery applies the surviving
 /// frames to the snapshot, so a reopened database holds every
 /// acknowledged write; its caches start empty and fill on demand, as
 /// for [`Database::new`]. [`Database::storage_stats`] exposes the
@@ -349,8 +348,8 @@ impl Database {
         Ok(())
     }
 
-    /// Write-path counters of the backing store ([`StoreStats`]: fsyncs,
-    /// group-commit batch sizes, segments written vs reused, …), or
+    /// Write-path counters of the backing store ([`StoreStats`]: appends,
+    /// fsyncs, WAL bytes, segments written vs reused, …), or
     /// `None` for an in-memory database. Named stats, cheap to copy —
     /// meaningful as before/after deltas, like the cache and planner
     /// stats.
@@ -363,16 +362,6 @@ impl Database {
     fn check_writable(&self) -> Result<(), Error> {
         if self.storage.is_some() && !self.writer {
             return Err(Error::ReadOnlyClone);
-        }
-        Ok(())
-    }
-
-    /// Append `delta` to the WAL (if persistent). Called *before* the
-    /// in-memory mutation, so an acknowledged write is always
-    /// recoverable.
-    fn log_delta(&self, delta: &InstanceDelta) -> Result<(), Error> {
-        if let Some(store) = &self.storage {
-            store.append_delta(delta)?;
         }
         Ok(())
     }
@@ -518,42 +507,59 @@ impl Database {
         Ok(())
     }
 
+    /// The one mutation path behind the six mutators: validate every
+    /// row (an unknown relation or a wrong arity fails the whole call
+    /// before anything reaches the WAL), drop the rows that would not
+    /// change the instance, log the rest as one [`InstanceDelta`]
+    /// *before* mutating, apply it and compact if due. Returns how many
+    /// rows changed the instance.
+    fn write<'a>(
+        &mut self,
+        insert: bool,
+        rows: impl IntoIterator<Item = (&'a str, impl Into<Tuple>)>,
+    ) -> Result<usize, Error> {
+        self.check_writable()?;
+        let mut delta = InstanceDelta::default();
+        let atoms = if insert {
+            &mut delta.added
+        } else {
+            &mut delta.removed
+        };
+        for (relation, tuple) in rows {
+            let atom = self.atom_for(relation, tuple.into())?;
+            // Set semantics: no-ops never reach the WAL.
+            if self.instance.contains(&atom) != insert {
+                atoms.insert(atom);
+            }
+        }
+        let count = atoms.len();
+        if count == 0 {
+            return Ok(0);
+        }
+        if let Some(store) = &self.storage {
+            store.append_delta(&delta)?;
+        }
+        self.instance.apply(delta.added, delta.removed);
+        self.maybe_compact()?;
+        Ok(count)
+    }
+
     /// Insert a tuple; `Ok(true)` when it was new. On a persistent
     /// database the delta is WAL-appended (and, per policy, fsynced)
     /// *before* the in-memory mutation.
     pub fn insert(&mut self, relation: &str, tuple: impl Into<Tuple>) -> Result<bool, Error> {
-        self.check_writable()?;
-        let atom = self.atom_for(relation, tuple.into())?;
-        if self.instance.contains(&atom) {
-            return Ok(false); // set semantics: no-ops never reach the WAL
-        }
-        let mut delta = InstanceDelta::default();
-        delta.added.insert(atom.clone());
-        self.log_delta(&delta)?;
-        self.instance.insert(atom.rel, atom.tuple)?;
-        self.maybe_compact()?;
-        Ok(true)
+        Ok(self.write(true, [(relation, tuple)])? == 1)
     }
 
     /// Delete a tuple; `true` when it was present. Cached groundings of
     /// the repair program survive the deletion — the next program-route
     /// call regrounds incrementally by delete–rederive instead of
-    /// rebuilding. On a persistent database the delta is WAL-appended
-    /// *before* the in-memory mutation.
+    /// rebuilding. Validation is symmetric with insert: an arity typo is
+    /// an error, not a silent "tuple was not present". On a persistent
+    /// database the delta is WAL-appended *before* the in-memory
+    /// mutation.
     pub fn delete(&mut self, relation: &str, tuple: impl Into<Tuple>) -> Result<bool, Error> {
-        self.check_writable()?;
-        // Symmetric with insert: an arity typo is an error, not a silent
-        // "tuple was not present".
-        let atom = self.atom_for(relation, tuple.into())?;
-        if !self.instance.contains(&atom) {
-            return Ok(false);
-        }
-        let mut delta = InstanceDelta::default();
-        delta.removed.insert(atom.clone());
-        self.log_delta(&delta)?;
-        self.instance.remove(atom.rel, &atom.tuple);
-        self.maybe_compact()?;
-        Ok(true)
+        Ok(self.write(false, [(relation, tuple)])? == 1)
     }
 
     /// Insert a batch of tuples into one relation as a *single*
@@ -566,22 +572,7 @@ impl Database {
         relation: &str,
         tuples: impl IntoIterator<Item = impl Into<Tuple>>,
     ) -> Result<usize, Error> {
-        self.check_writable()?;
-        let mut delta = InstanceDelta::default();
-        for tuple in tuples {
-            let atom = self.atom_for(relation, tuple.into())?;
-            if !self.instance.contains(&atom) {
-                delta.added.insert(atom);
-            }
-        }
-        if delta.added.is_empty() {
-            return Ok(0);
-        }
-        self.log_delta(&delta)?;
-        let count = delta.added.len();
-        self.instance.apply(delta.added, std::iter::empty());
-        self.maybe_compact()?;
-        Ok(count)
+        self.write(true, tuples.into_iter().map(|t| (relation, t)))
     }
 
     /// Delete a batch of tuples from one relation as a single
@@ -593,22 +584,7 @@ impl Database {
         relation: &str,
         tuples: impl IntoIterator<Item = impl Into<Tuple>>,
     ) -> Result<usize, Error> {
-        self.check_writable()?;
-        let mut delta = InstanceDelta::default();
-        for tuple in tuples {
-            let atom = self.atom_for(relation, tuple.into())?;
-            if self.instance.contains(&atom) {
-                delta.removed.insert(atom);
-            }
-        }
-        if delta.removed.is_empty() {
-            return Ok(0);
-        }
-        self.log_delta(&delta)?;
-        let count = delta.removed.len();
-        self.instance.apply(std::iter::empty(), delta.removed);
-        self.maybe_compact()?;
-        Ok(count)
+        self.write(false, tuples.into_iter().map(|t| (relation, t)))
     }
 
     /// Insert a batch of `(relation, tuple)` rows spanning *any* mix of
@@ -621,22 +597,7 @@ impl Database {
         &mut self,
         rows: impl IntoIterator<Item = (&'a str, impl Into<Tuple>)>,
     ) -> Result<usize, Error> {
-        self.check_writable()?;
-        let mut delta = InstanceDelta::default();
-        for (relation, tuple) in rows {
-            let atom = self.atom_for(relation, tuple.into())?;
-            if !self.instance.contains(&atom) {
-                delta.added.insert(atom);
-            }
-        }
-        if delta.added.is_empty() {
-            return Ok(0);
-        }
-        self.log_delta(&delta)?;
-        let count = delta.added.len();
-        self.instance.apply(delta.added, std::iter::empty());
-        self.maybe_compact()?;
-        Ok(count)
+        self.write(true, rows)
     }
 
     /// Delete a batch of `(relation, tuple)` rows spanning any mix of
@@ -647,22 +608,7 @@ impl Database {
         &mut self,
         rows: impl IntoIterator<Item = (&'a str, impl Into<Tuple>)>,
     ) -> Result<usize, Error> {
-        self.check_writable()?;
-        let mut delta = InstanceDelta::default();
-        for (relation, tuple) in rows {
-            let atom = self.atom_for(relation, tuple.into())?;
-            if self.instance.contains(&atom) {
-                delta.removed.insert(atom);
-            }
-        }
-        if delta.removed.is_empty() {
-            return Ok(0);
-        }
-        self.log_delta(&delta)?;
-        let count = delta.removed.len();
-        self.instance.apply(std::iter::empty(), delta.removed);
-        self.maybe_compact()?;
-        Ok(count)
+        self.write(false, rows)
     }
 
     /// Is the database consistent under the paper's `|=_N`?

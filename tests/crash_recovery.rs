@@ -94,7 +94,6 @@ fn aggressive_options() -> StoreOptions {
         compact_num: 1,
         compact_den: 2,
         compact_min_wal_bytes: 0,
-        ..StoreOptions::default()
     }
 }
 

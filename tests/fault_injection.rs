@@ -5,7 +5,7 @@
 //! run against `FaultScript::profile()` counts the workload's fsyncs,
 //! writes, renames and removes, and the matrix then replays the same
 //! workload once per operation index with exactly that operation
-//! scripted to fail — fsync failures (including group-commit leader
+//! scripted to fail — fsync failures (including WAL append
 //! fsyncs and segment/manifest syncs), short writes (WAL frames,
 //! segment bodies, the manifest), ENOSPC byte budgets, lost renames at
 //! the crash point between a fully-synced `manifest.tmp` and its
@@ -83,7 +83,6 @@ fn options() -> StoreOptions {
         compact_num: 1,
         compact_den: 2,
         compact_min_wal_bytes: 0,
-        ..StoreOptions::default()
     }
 }
 

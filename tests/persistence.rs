@@ -386,6 +386,47 @@ fn batch_mutators_write_one_frame_each() {
 }
 
 #[test]
+fn a_bad_row_fails_its_batch_before_the_wal() {
+    use cqa::relational::{RelationalError, Tuple};
+    let dir = scratch("badrow");
+    let mut db = seeded(&dir);
+    let appends = db.storage_stats().unwrap().appends;
+    let want: Vec<_> = db.instance().atoms().collect();
+
+    // Two new rows, then an unknown relation as the last row.
+    let rows: Vec<(&str, [cqa::DbValue; 2])> = vec![
+        ("r", [cqa::s("new0"), cqa::s("y")]),
+        ("s", [cqa::s("new1"), cqa::s("a")]),
+        ("nope", [cqa::s("x"), cqa::s("y")]),
+    ];
+    assert!(matches!(
+        db.insert_all(rows),
+        Err(Error::Relational(RelationalError::UnknownRelation(_)))
+    ));
+    // A present row, then one of the wrong arity.
+    let tuples = [
+        Tuple::new([cqa::s("a"), cqa::s("b")]),
+        Tuple::new([cqa::s("a")]),
+    ];
+    assert!(matches!(
+        db.delete_many("r", tuples),
+        Err(Error::Relational(RelationalError::ArityMismatch { .. }))
+    ));
+
+    assert_eq!(
+        db.storage_stats().unwrap().appends,
+        appends,
+        "nothing logged"
+    );
+    let got: Vec<_> = db.instance().atoms().collect();
+    assert_eq!(got, want, "nothing applied");
+    drop(db);
+    let back = Database::open(&dir).unwrap();
+    let got: Vec<_> = back.instance().atoms().collect();
+    assert_eq!(got, want, "nothing recovered");
+}
+
+#[test]
 fn store_options_knobs_are_honoured() {
     // FsyncPolicy::Never + an aggressive compaction fraction: churn folds
     // into snapshots instead of an ever-growing WAL, and reopen sees a
@@ -397,7 +438,6 @@ fn store_options_knobs_are_honoured() {
         compact_num: 1,
         compact_den: 4,
         compact_min_wal_bytes: 0,
-        ..StoreOptions::default()
     };
     let mut db =
         Database::persistent_with(&dir, catalog.instance, catalog.constraints, options).unwrap();
