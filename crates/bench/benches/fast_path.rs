@@ -10,22 +10,28 @@
 //! milliseconds — and is only recorded at the smallest size (8k/80k
 //! would be pure waiting; the planner's point is that they never run).
 //!
+//! `point/80000` is a point read by key on the largest workload, through
+//! the same FO-rewrite route: its candidates come from one probe of the
+//! key column's index, so it costs O(1) in the instance, not a scan.
+//!
 //! The headline numbers are `fast_path/80000` (guarded against
-//! regression in `bench_check`) and the within-run ratio
+//! regression in `bench_check`) and the within-run ratios
 //! `fast_path/800 ÷ enumeration/800` (gated host-independently at
-//! ≤ 0.05x in `bench_check`).
+//! ≤ 0.05x in `bench_check`) and `point/80000 ÷ fast_path/80000` (gated
+//! at ≤ 0.001x: a point read that scans the relation converges on
+//! about 0.01x).
 //!
 //! Every series runs against one [`CqaCaches`] bundle created outside its
 //! timed closure, so repeat calls hit the warm root scan.
 
 use cqa_bench::harness::Harness;
-use cqa_constraints::{v, Ic};
+use cqa_constraints::{c, v, Ic};
 use cqa_core::query::{AnswerSemantics, QueryNullSemantics};
 use cqa_core::{
     consistent_answers_enumerated_governed, consistent_answers_governed, plan_query, CqaCaches,
     PlanRoute, RepairConfig,
 };
-use cqa_relational::CancelToken;
+use cqa_relational::{s, CancelToken};
 use std::hint::black_box;
 
 fn query_for(w: &cqa_bench::Workload) -> cqa_core::Query {
@@ -69,6 +75,33 @@ fn main() {
             .median_ns;
         if clean == 800 {
             fast_800_ns = fast;
+        }
+        if clean == 80_000 {
+            let point: cqa_core::Query =
+                cqa_core::ConjunctiveQuery::builder(w.instance.schema(), "p", ["v"])
+                    .atom("R", [c(s("k40000")), v("v")])
+                    .finish()
+                    .unwrap()
+                    .into();
+            assert_eq!(
+                plan_query(&w.ics, &point, &config).route,
+                PlanRoute::FoRewrite
+            );
+            group.bench(format!("point/{clean}"), || {
+                black_box(
+                    consistent_answers_governed(
+                        &w.instance,
+                        &w.ics,
+                        &point,
+                        config,
+                        AnswerSemantics::IncludeNullAnswers,
+                        QueryNullSemantics::NullAsValue,
+                        &caches,
+                        &never,
+                    )
+                    .unwrap(),
+                )
+            });
         }
         // The same workload with a denial added is no longer key-FD-only,
         // so the planner falls to the deletion-only chase route.

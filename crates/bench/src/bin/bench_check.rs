@@ -69,6 +69,16 @@ const RATIO_GATES: &[(&str, &str, &str, f64, &str)] = &[
     // repair, so the fast path must be at least 20x under it. Measured
     // ~0.002x; a planner that falls back to enumeration converges on 1x.
     ("fast_path", "fast_path/800", "enumeration/800", 0.05, "planner fast-path regression"),
+    // A FO-rewrite point read by key lists its candidates with one probe
+    // of the key column's index, so it costs O(1) in the instance where
+    // the full read costs O(n). Measured ~0.00001x at 80k; an evaluator
+    // that scans the relation for the root atom converges on ~0.01x.
+    ("fast_path", "point/80000", "fast_path/80000", 0.001, "point reads scan the relation again"),
+    // Example 19 at clean=800 with 64 repairs: evaluating the FK join
+    // probes R's index once per S tuple, so it costs a small multiple of
+    // a scan of R. Measured ~1.5x; a nested-loop join (|S|·|R| per
+    // repair) read 4.8-9x.
+    ("query_eval", "join/800", "scan/800", 2.5, "query joins no longer probe indexes"),
     // Compacting with 2 of 20 relations dirty rewrites only the dirty
     // segments plus the manifest. Measured ~0.17x; a compactor that
     // rewrites everything converges on the full series.
@@ -235,13 +245,13 @@ mod tests {
 
     #[test]
     fn ratio_gates_pass_at_cap_and_fail_above_it() {
-        // A denominator of 300 ns puts every cap (1.5, 1/4, 1/20, 0.3)
-        // on a whole numerator, so "at cap" is exact.
+        // A denominator of 3000 ns puts every cap (1.5, 1/4, 1/20, 1/1000,
+        // 2.5, 0.3) on a whole numerator, so "at cap" is exact.
         for &(group, num, den, cap, meaning) in RATIO_GATES {
-            let at_cap = (cap * 300.0).round() as u128;
-            let line = ratio_line(group, (num, at_cap), (den, 300));
+            let at_cap = (cap * 3000.0).round() as u128;
+            let line = ratio_line(group, (num, at_cap), (den, 3000));
             assert_eq!(check_ratios(&line), Ok(()), "{group} {num} at its cap");
-            let line = ratio_line(group, (num, at_cap + 1), (den, 300));
+            let line = ratio_line(group, (num, at_cap + 1), (den, 3000));
             let err = check_ratios(&line).unwrap_err();
             assert!(err.contains(meaning), "{group} {num}: {err}");
         }

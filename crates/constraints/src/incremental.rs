@@ -7,11 +7,14 @@
 //! * **Index-driven joins.** Body matching probes the secondary hash
 //!   indexes of [`cqa_relational::index`] instead of scanning: at every
 //!   join depth, the candidate set for an atom is the bucket of its
-//!   determined columns (constants and already-bound join variables) — one
-//!   determined column probes its [`ColumnIndex`], several probe the
-//!   *composite* index of the exact column set ([`CompositeIndex`]), so a
-//!   multi-attribute FD/key/IC probe is a single packed-key lookup with no
-//!   residual filtering on determined positions. Buckets are
+//!   determined columns (constants and already-bound join variables),
+//!   listed by [`Candidates`] — the enumerator query evaluation shares,
+//!   which lives in `cqa-relational`. One determined column probes its
+//!   `ColumnIndex`, several probe the *composite* index of the exact
+//!   column set, so a multi-attribute FD/key/IC probe is a single
+//!   packed-key lookup with no residual filtering on determined positions.
+//!   The checker builds each index on first use
+//!   ([`IndexBuild::OnFirstUse`]); the instance keeps it. Buckets are
 //!   `BTreeSet<Tuple>`, so swapping a scan for a probe never changes match
 //!   enumeration order — the indexed full check ([`crate::violations`]) reports
 //!   exactly the naive order, which the property suite pins down. With
@@ -40,12 +43,9 @@
 
 use crate::ast::{Constraint, Ic, IcAtom, IcSet, Term, VarId};
 use crate::satisfaction::{phi_escape, SatMode, Violation, ViolationKind};
-use cqa_relational::{
-    ColsKey, ColumnIndex, CompositeIndex, DatabaseAtom, Delta, Instance, Tuple, Value,
-};
+use cqa_relational::{Candidates, DatabaseAtom, Delta, IndexBuild, Instance, Tuple, Value};
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
 // The incremental-checking state must be cheap to fork and safe to move
 // across threads: the parallel repair search hands each worker its own
@@ -56,87 +56,41 @@ use std::sync::Arc;
 // raw pointer) into a compile error.
 const _: () = {
     use cqa_relational::testing::{assert_send, assert_sync};
-    assert_send::<Candidates>();
-    assert_sync::<Candidates>();
+    assert_send::<Candidates<'static>>();
+    assert_sync::<Candidates<'static>>();
     assert_send::<Violation>();
     assert_sync::<Violation>();
     assert_send::<IcSet>();
     assert_sync::<IcSet>();
 };
 
-/// How to enumerate candidate tuples for one atom under current bindings.
-enum Candidates {
-    /// No column is determined: scan the whole relation.
-    Scan,
-    /// One determined column: probe its hash index.
-    Probe(Arc<ColumnIndex>, Value),
-    /// Several determined columns: probe the composite index of the
-    /// exact column set — no residual filtering on determined positions.
-    ProbeCols(Arc<CompositeIndex>, ColsKey),
-}
-
-impl Candidates {
-    fn for_atom(
-        instance: &Instance,
-        atom: &IcAtom,
-        bindings: &[Option<Value>],
-        checked: impl Fn(usize) -> bool,
-    ) -> Candidates {
-        // Determined columns (a constant or an already-bound variable),
-        // collected in ascending position order — the canonical order of
-        // a composite index.
-        let mut cols: Vec<usize> = Vec::with_capacity(atom.terms.len());
-        let mut values: Vec<Value> = Vec::with_capacity(atom.terms.len());
-        for (pos, term) in atom.terms.iter().enumerate() {
-            if !checked(pos) {
-                continue;
-            }
-            let value = match term {
-                Term::Const(c) => *c,
-                Term::Var(v) => match bindings[v.index()] {
-                    Some(bound) => bound,
-                    None => continue,
-                },
-            };
-            cols.push(pos);
-            values.push(value);
+/// The candidate tuples for one atom under current bindings: the bucket
+/// of its determined `checked` columns (a constant or an already-bound
+/// variable), collected in ascending position order — the canonical order
+/// of a composite index.
+fn candidates<'a>(
+    instance: &'a Instance,
+    atom: &IcAtom,
+    bindings: &[Option<Value>],
+    checked: impl Fn(usize) -> bool,
+) -> Candidates<'a> {
+    let mut cols: Vec<usize> = Vec::with_capacity(atom.terms.len());
+    let mut values: Vec<Value> = Vec::with_capacity(atom.terms.len());
+    for (pos, term) in atom.terms.iter().enumerate() {
+        if !checked(pos) {
+            continue;
         }
-        match cols.len() {
-            0 => Candidates::Scan,
-            1 => Candidates::Probe(instance.index_on(atom.rel, cols[0]), values[0]),
-            _ => Candidates::ProbeCols(
-                instance.index_on_cols(atom.rel, &cols),
-                ColsKey::new(&values),
-            ),
-        }
+        let value = match term {
+            Term::Const(c) => *c,
+            Term::Var(v) => match bindings[v.index()] {
+                Some(bound) => bound,
+                None => continue,
+            },
+        };
+        cols.push(pos);
+        values.push(value);
     }
-
-    /// Iterate the candidate tuples in deterministic (tuple) order.
-    fn for_each<B>(
-        &self,
-        instance: &Instance,
-        atom: &IcAtom,
-        mut f: impl FnMut(&Tuple) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
-        match self {
-            Candidates::Scan => {
-                for t in instance.relation(atom.rel) {
-                    f(t)?;
-                }
-            }
-            Candidates::Probe(ix, value) => {
-                for t in ix.probe(value) {
-                    f(t)?;
-                }
-            }
-            Candidates::ProbeCols(ix, key) => {
-                for t in ix.probe(key) {
-                    f(t)?;
-                }
-            }
-        }
-        ControlFlow::Continue(())
-    }
+    Candidates::new(instance, atom.rel, &cols, &values, IndexBuild::OnFirstUse)
 }
 
 /// Try to extend `bindings` with `tuple` matched against `atom`.
@@ -228,8 +182,8 @@ impl Join<'_> {
         }
         let body_idx = order[depth];
         let atom = &self.ic.body()[body_idx];
-        let cands = Candidates::for_atom(self.instance, atom, bindings, |_| true);
-        cands.for_each(self.instance, atom, |t| {
+        let cands = candidates(self.instance, atom, bindings, |_| true);
+        cands.iter().try_for_each(|t| {
             let Some(newly) = try_match(atom, t, bindings) else {
                 return ControlFlow::Continue(());
             };
@@ -259,8 +213,8 @@ fn head_witness_indexed(
         SatMode::NullAware => ic.relevant().is_relevant(atom.rel, pos),
         SatMode::Classical => true,
     };
-    let cands = Candidates::for_atom(instance, atom, bindings, checked);
-    let found = cands.for_each(instance, atom, |t| {
+    let cands = candidates(instance, atom, bindings, checked);
+    let found = cands.iter().try_for_each(|t| {
         let mut local: BTreeMap<VarId, &Value> = BTreeMap::new();
         for (pos, term) in atom.terms.iter().enumerate() {
             if !checked(pos) {

@@ -11,7 +11,7 @@
 //!    conjunctive queries. Fuxman/Miller-style: every candidate answer is
 //!    guarded by "no key-conflicting tuple disagrees on a used non-key
 //!    position", evaluated once on the inconsistent instance with one
-//!    composite-index probe per (tuple, FD).
+//!    index probe on the FD's determinant per (tuple, FD).
 //! 2. **Chase fast path** ([`crate::chase`]) — arbitrary *deletion-only*
 //!    constraint sets (denials, multi-row checks, FDs, NOT NULL) with the
 //!    same query class. In the style of Laurent & Spyratos
@@ -256,6 +256,11 @@ const CANCEL_STRIDE: usize = 1024;
 /// positive/negative membership tests with the oracle's repair-aware
 /// ones. See the module docs for why this factorisation is exact for
 /// quantifier-free queries over deletion-only constraint sets.
+///
+/// The candidates come from `for_each_match`, which joins by index
+/// probes over `d` and builds each probed index on first use: `d` is the
+/// caller's instance, so a point read pays one probe, and the index stays
+/// registered (and maintained on writes) for the next read.
 fn eval_fast(
     cq: &ConjunctiveQuery,
     d: &Instance,

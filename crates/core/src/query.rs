@@ -10,10 +10,37 @@
 //! assumes. A convenience filter excludes answers containing `null`
 //! ([`AnswerSemantics::ExcludeNullAnswers`]) for applications that read
 //! nulls as "unknown" rather than as a value.
+//!
+//! ## Evaluation
+//!
+//! Every answer route ends here: enumeration evaluates the query in each
+//! repair, FO-rewrite and the chase enumerate the candidate bindings of
+//! its positive body on the inconsistent instance. Evaluation is an
+//! *index nested-loop join* over the positive atoms, in the query's atom
+//! order:
+//!
+//! * an atom with bound columns (constants, or variables an earlier atom
+//!   bound) lists its candidates by probing the index of exactly those
+//!   columns ([`cqa_relational::Candidates`]); an atom with none scans
+//!   its relation;
+//! * a fully bound atom — and every negated atom, since query safety
+//!   binds all of its variables — is one membership test, never a scan;
+//! * under [`QueryNullSemantics::SqlThreeValued`] a bound `null` matches
+//!   nothing (Franconi & Tessaris' reading of SQL nulls), so such an atom
+//!   has no candidates and the `null` key is never probed. Under
+//!   [`QueryNullSemantics::NullAsValue`] `null` is a key like any other.
+//!
+//! Which indexes get built follows the rule in [`cqa_relational::index`]:
+//! over the caller's instance (the fast paths) every probed index is built
+//! on first use and kept; [`Query::eval_with`], which also runs over
+//! instances made for one call (enumeration's repairs), builds an index
+//! only for an inner atom, probed once per outer binding, and scans a
+//! root atom unless its index is already registered. Buckets iterate in
+//! tuple order, so matches come out in the order a scan finds them.
 
 use crate::error::CoreError;
 use cqa_constraints::{c, v, CmpOp, TermSpec};
-use cqa_relational::{Instance, RelId, Schema, Tuple, Value};
+use cqa_relational::{Candidates, IndexBuild, Instance, RelId, Schema, Tuple, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -129,18 +156,29 @@ impl ConjunctiveQuery {
     }
 
     /// Evaluate under an explicit null semantics (`|=q_N` hook).
+    ///
+    /// A root atom is listed through an index only when `instance`
+    /// already has one; inner atoms build theirs (see the module docs).
     pub fn eval_with(
         &self,
         instance: &Instance,
         mode: QueryNullSemantics,
     ) -> std::collections::BTreeSet<Tuple> {
         let mut out = std::collections::BTreeSet::new();
-        self.for_each_match(instance, mode, &mut |bindings| {
+        let join = Join {
+            cq: self,
+            instance,
+            mode,
+            root: IndexBuild::RegisteredOnly,
+        };
+        join.run(&mut |bindings| {
             // negated atoms: no matching tuple may exist.
-            for n in &self.neg {
-                if atom_has_match(instance, n, bindings, mode) {
-                    return true;
-                }
+            if self
+                .neg
+                .iter()
+                .any(|n| atom_has_match(instance, n, bindings, mode))
+            {
+                return true;
             }
             let answer: Tuple = self
                 .head
@@ -158,70 +196,142 @@ impl ConjunctiveQuery {
     /// from the sink aborts the enumeration. The fast-path planner uses
     /// this to intercept each candidate match before the classical
     /// negation filter, substituting its own repair-aware treatment of
-    /// positive and negated ground atoms.
+    /// positive and negated ground atoms. `instance` is the caller's, so
+    /// every probed index is built on first use and kept.
     pub(crate) fn for_each_match(
         &self,
         instance: &Instance,
         mode: QueryNullSemantics,
         sink: &mut dyn FnMut(&[Option<Value>]) -> bool,
     ) {
-        let mut bindings: Vec<Option<Value>> = vec![None; self.var_names.len()];
-        self.join_pos(instance, mode, 0, &mut bindings, sink);
+        let join = Join {
+            cq: self,
+            instance,
+            mode,
+            root: IndexBuild::OnFirstUse,
+        };
+        join.run(sink);
+    }
+}
+
+/// One evaluation of a query's positive body: an index nested-loop join
+/// in atom order (see the module docs).
+struct Join<'a> {
+    cq: &'a ConjunctiveQuery,
+    instance: &'a Instance,
+    mode: QueryNullSemantics,
+    /// Whether the root atom may build its index; inner atoms always may.
+    root: IndexBuild,
+}
+
+impl Join<'_> {
+    fn run(&self, sink: &mut dyn FnMut(&[Option<Value>]) -> bool) {
+        let mut bindings: Vec<Option<Value>> = vec![None; self.cq.var_names.len()];
+        self.join(0, &mut bindings, sink);
     }
 
-    fn join_pos(
+    /// Join the atoms from `depth` on; `false` means the sink aborted.
+    fn join(
         &self,
-        instance: &Instance,
-        mode: QueryNullSemantics,
         depth: usize,
         bindings: &mut Vec<Option<Value>>,
         sink: &mut dyn FnMut(&[Option<Value>]) -> bool,
     ) -> bool {
-        if depth == self.pos.len() {
-            // builtins
-            for b in &self.builtins {
+        let Some(atom) = self.cq.pos.get(depth) else {
+            for b in &self.cq.builtins {
                 let l = term_value(&b.lhs, bindings);
                 let r = term_value(&b.rhs, bindings);
-                if !mode.cmp(b.op, l, r) {
+                if !self.mode.cmp(b.op, l, r) {
                     return true;
                 }
             }
             return sink(bindings);
-        }
-        let atom = &self.pos[depth];
-        'tuples: for t in instance.relation(atom.rel) {
-            let mut newly: Vec<u32> = Vec::new();
-            for (pos, term) in atom.terms.iter().enumerate() {
-                let val = t.get(pos);
-                match term {
-                    QTerm::Const(cv) => {
-                        if !mode.values_match(val, cv) {
-                            undo(bindings, &newly);
-                            continue 'tuples;
-                        }
-                    }
-                    QTerm::Var(vid) => match &bindings[*vid as usize] {
-                        Some(b) => {
-                            if !mode.values_match(b, val) {
-                                undo(bindings, &newly);
-                                continue 'tuples;
-                            }
-                        }
-                        None => {
-                            bindings[*vid as usize] = Some(*val);
-                            newly.push(*vid);
-                        }
-                    },
-                }
+        };
+        let Some((cols, values)) = bound_columns(atom, bindings, self.mode) else {
+            return true; // a bound null under SQL semantics: no match
+        };
+        if cols.len() == atom.terms.len() {
+            // Fully bound: one membership test binds nothing new.
+            if !self.instance.relation(atom.rel).contains(values.as_slice()) {
+                return true;
             }
-            let keep_going = self.join_pos(instance, mode, depth + 1, bindings, sink);
+            return self.join(depth + 1, bindings, sink);
+        }
+        let build = if depth == 0 {
+            self.root
+        } else {
+            IndexBuild::OnFirstUse
+        };
+        let candidates = Candidates::new(self.instance, atom.rel, &cols, &values, build);
+        let mut newly: Vec<u32> = Vec::new();
+        for t in candidates.iter() {
+            let matched = self.bind(atom, t, bindings, &mut newly);
+            let keep_going = !matched || self.join(depth + 1, bindings, sink);
             undo(bindings, &newly);
+            newly.clear();
             if !keep_going {
                 return false;
             }
         }
         true
     }
+
+    /// Match `t` against `atom`, binding its unbound variables (recorded
+    /// in `newly`); `false` if some position disagrees. Bound positions
+    /// are checked too, because a scan lists tuples the probe would not.
+    fn bind(
+        &self,
+        atom: &QAtom,
+        t: &Tuple,
+        bindings: &mut [Option<Value>],
+        newly: &mut Vec<u32>,
+    ) -> bool {
+        for (pos, term) in atom.terms.iter().enumerate() {
+            let val = t.get(pos);
+            let ok = match term {
+                QTerm::Const(cv) => self.mode.values_match(val, cv),
+                QTerm::Var(vid) => match &bindings[*vid as usize] {
+                    Some(b) => self.mode.values_match(b, val),
+                    None => {
+                        bindings[*vid as usize] = Some(*val);
+                        newly.push(*vid);
+                        true
+                    }
+                },
+            };
+            if !ok {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// The bound columns of `atom` (ascending) and their values: constants
+/// and variables already bound. `None` when a bound value is `null` under
+/// SQL semantics — such an atom matches no tuple, so nothing is probed.
+fn bound_columns(
+    atom: &QAtom,
+    bindings: &[Option<Value>],
+    mode: QueryNullSemantics,
+) -> Option<(Vec<usize>, Vec<Value>)> {
+    let mut cols = Vec::with_capacity(atom.terms.len());
+    let mut values = Vec::with_capacity(atom.terms.len());
+    for (pos, term) in atom.terms.iter().enumerate() {
+        let value = match term {
+            QTerm::Const(c) => *c,
+            QTerm::Var(v) => match bindings[*v as usize] {
+                Some(bound) => bound,
+                None => continue,
+            },
+        };
+        if mode == QueryNullSemantics::SqlThreeValued && value.is_null() {
+            return None;
+        }
+        cols.push(pos);
+        values.push(value);
+    }
+    Some((cols, values))
 }
 
 fn undo(bindings: &mut [Option<Value>], newly: &[u32]) {
@@ -237,26 +347,22 @@ fn term_value<'a>(t: &'a QTerm, bindings: &'a [Option<Value>]) -> &'a Value {
     }
 }
 
+/// Does some tuple match the negated `atom` under the bindings? Query
+/// safety binds every variable of a negated atom, so this is one
+/// membership test.
 fn atom_has_match(
     instance: &Instance,
     atom: &QAtom,
     bindings: &[Option<Value>],
     mode: QueryNullSemantics,
 ) -> bool {
-    'tuples: for t in instance.relation(atom.rel) {
-        for (pos, term) in atom.terms.iter().enumerate() {
-            let val = t.get(pos);
-            let expect = match term {
-                QTerm::Const(c) => c,
-                QTerm::Var(v) => bindings[*v as usize].as_ref().expect("safe var"),
-            };
-            if !mode.values_match(val, expect) {
-                continue 'tuples;
-            }
+    match bound_columns(atom, bindings, mode) {
+        Some((cols, values)) => {
+            debug_assert_eq!(cols.len(), atom.terms.len(), "safe negated atom");
+            instance.relation(atom.rel).contains(values.as_slice())
         }
-        return true;
+        None => false,
     }
-    false
 }
 
 /// A union of conjunctive queries with matching answer arity — the `Query`
@@ -517,6 +623,7 @@ pub fn qc(value: impl Into<Value>) -> TermSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqa_relational::testing::{random_instance, DomainSpec, XorShift};
     use cqa_relational::{i, null, s, Schema};
     use std::sync::Arc;
 
@@ -740,5 +847,270 @@ mod tests {
             .atom("Dept", [qv("x"), qv("y")])
             .finish()
             .is_err());
+    }
+
+    /// The nested-loop evaluator the index-backed one replaced, kept as
+    /// its oracle: every positive atom scans its whole relation, every
+    /// negated atom too.
+    mod nested_loop {
+        use super::super::*;
+
+        pub(super) fn eval(q: &Query, d: &Instance, mode: QueryNullSemantics) -> Vec<Tuple> {
+            let mut out = std::collections::BTreeSet::new();
+            for cq in q.disjuncts() {
+                for b in matches(cq, d, mode) {
+                    if cq.neg.iter().any(|n| has_match(d, n, &b, mode)) {
+                        continue;
+                    }
+                    out.insert(cq.head.iter().map(|v| b[*v as usize].unwrap()).collect());
+                }
+            }
+            out.into_iter().collect()
+        }
+
+        /// Every binding of the positive body, builtins applied, in
+        /// match order.
+        pub(super) fn matches(
+            cq: &ConjunctiveQuery,
+            d: &Instance,
+            mode: QueryNullSemantics,
+        ) -> Vec<Vec<Option<Value>>> {
+            let mut out = Vec::new();
+            let mut bindings = vec![None; cq.var_names.len()];
+            join(cq, d, mode, 0, &mut bindings, &mut out);
+            out
+        }
+
+        fn join(
+            cq: &ConjunctiveQuery,
+            d: &Instance,
+            mode: QueryNullSemantics,
+            depth: usize,
+            bindings: &mut Vec<Option<Value>>,
+            out: &mut Vec<Vec<Option<Value>>>,
+        ) {
+            if depth == cq.pos.len() {
+                if cq.builtins.iter().all(|b| {
+                    mode.cmp(
+                        b.op,
+                        term_value(&b.lhs, bindings),
+                        term_value(&b.rhs, bindings),
+                    )
+                }) {
+                    out.push(bindings.clone());
+                }
+                return;
+            }
+            let atom = &cq.pos[depth];
+            'tuples: for t in d.relation(atom.rel) {
+                let mut newly: Vec<u32> = Vec::new();
+                for (pos, term) in atom.terms.iter().enumerate() {
+                    let val = t.get(pos);
+                    let ok = match term {
+                        QTerm::Const(cv) => mode.values_match(val, cv),
+                        QTerm::Var(vid) => match &bindings[*vid as usize] {
+                            Some(b) => mode.values_match(b, val),
+                            None => {
+                                bindings[*vid as usize] = Some(*val);
+                                newly.push(*vid);
+                                true
+                            }
+                        },
+                    };
+                    if !ok {
+                        undo(bindings, &newly);
+                        continue 'tuples;
+                    }
+                }
+                join(cq, d, mode, depth + 1, bindings, out);
+                undo(bindings, &newly);
+            }
+        }
+
+        fn has_match(
+            d: &Instance,
+            atom: &QAtom,
+            bindings: &[Option<Value>],
+            mode: QueryNullSemantics,
+        ) -> bool {
+            d.relation(atom.rel).iter().any(|t| {
+                atom.terms
+                    .iter()
+                    .enumerate()
+                    .all(|(pos, term)| mode.values_match(t.get(pos), term_value(term, bindings)))
+            })
+        }
+    }
+
+    fn sweep_schema() -> Arc<Schema> {
+        Schema::builder()
+            .relation("R", ["a", "b"])
+            .relation("S", ["a", "b"])
+            .relation("T", ["a", "b", "c"])
+            .finish()
+            .unwrap()
+            .into_shared()
+    }
+
+    /// A random term: one of four variables, or a constant (null
+    /// included).
+    fn random_term(rng: &mut XorShift) -> TermSpec {
+        match rng.below(7) {
+            0 => qc(s("c0")),
+            1 => qc(s("c1")),
+            2 => qc(null()),
+            k => qv(&format!("x{}", k - 3)),
+        }
+    }
+
+    /// A random safe CQ over `sweep_schema`: 1–3 positive atoms (repeated
+    /// variables and constants included), maybe a negated atom and a
+    /// builtin over the variables they bind. `None` if the draw is
+    /// unsafe.
+    fn random_cq(sc: &Schema, rng: &mut XorShift, arity: usize) -> Option<ConjunctiveQuery> {
+        let rels = [("R", 2), ("S", 2), ("T", 3)];
+        let mut bound: Vec<String> = Vec::new();
+        let mut pos = Vec::new();
+        for _ in 0..1 + rng.below(3) {
+            let (rel, n) = rels[rng.below(rels.len())];
+            let terms: Vec<TermSpec> = (0..n).map(|_| random_term(rng)).collect();
+            for t in &terms {
+                if let TermSpec::Var(name) = t {
+                    if !bound.contains(name) {
+                        bound.push(name.clone());
+                    }
+                }
+            }
+            pos.push((rel, terms));
+        }
+        if bound.len() < arity {
+            return None;
+        }
+        let pick = |rng: &mut XorShift| {
+            if bound.is_empty() || rng.chance(1, 4) {
+                qc(if rng.chance(1, 3) { null() } else { s("c0") })
+            } else {
+                qv(&bound[rng.below(bound.len())])
+            }
+        };
+        let head: Vec<String> = bound[..arity].to_vec();
+        let mut b = ConjunctiveQuery::builder(sc, "q", head);
+        for (rel, terms) in pos {
+            b = b.atom(rel, terms);
+        }
+        if rng.chance(1, 2) {
+            let (rel, n) = rels[rng.below(rels.len())];
+            b = b.not_atom(rel, (0..n).map(|_| pick(rng)).collect::<Vec<_>>());
+        }
+        if rng.chance(1, 3) {
+            let ops = [CmpOp::Eq, CmpOp::Neq, CmpOp::Lt, CmpOp::Geq];
+            b = b.cmp(pick(rng), ops[rng.below(ops.len())], pick(rng));
+        }
+        b.finish().ok()
+    }
+
+    fn random_query(sc: &Schema, rng: &mut XorShift) -> Option<Query> {
+        let arity = rng.below(3);
+        let disjuncts = (0..1 + rng.below(2))
+            .map(|_| random_cq(sc, rng, arity))
+            .collect::<Option<Vec<_>>>()?;
+        Query::union(disjuncts).ok()
+    }
+
+    #[test]
+    fn index_backed_evaluation_equals_the_nested_loop_oracle() {
+        let sc = sweep_schema();
+        let domain = DomainSpec {
+            constants: 3,
+            null_percent: 20,
+        };
+        let mut rng = XorShift::new(0x1dea);
+        let mut checked = 0;
+        for round in 0..400u64 {
+            let Some(q) = random_query(&sc, &mut rng) else {
+                continue;
+            };
+            let d = random_instance(&sc, 1000 + round, 1 + rng.below(8), &domain);
+            for mode in [
+                QueryNullSemantics::NullAsValue,
+                QueryNullSemantics::SqlThreeValued,
+            ] {
+                let want = nested_loop::eval(&q, &d, mode);
+                let what = format!("round {round}, {mode:?}, {q:?}");
+                // A fresh instance: roots scan, inner atoms build.
+                let fresh = d.clone();
+                let got: Vec<Tuple> = q.eval_with(&fresh, mode).into_iter().collect();
+                assert_eq!(got, want, "eval_with on a fresh instance: {what}");
+                for cq in q.disjuncts() {
+                    let mut seen = Vec::new();
+                    cq.for_each_match(&fresh, mode, &mut |b| {
+                        seen.push(b.to_vec());
+                        true
+                    });
+                    assert_eq!(seen, nested_loop::matches(cq, &d, mode), "matches: {what}");
+                }
+                // for_each_match registered every probed index: roots now
+                // probe too.
+                let got: Vec<Tuple> = q.eval_with(&fresh, mode).into_iter().collect();
+                assert_eq!(got, want, "eval_with with registered indexes: {what}");
+            }
+            checked += 1;
+        }
+        assert!(checked >= 200, "only {checked} of 400 draws were safe");
+    }
+
+    #[test]
+    fn a_root_atom_builds_no_index_in_eval_with() {
+        let (sc, d) = setup();
+        let emp = sc.rel_id("Emp").unwrap();
+        let point = ConjunctiveQuery::builder(&sc, "p", ["d"])
+            .atom("Emp", [qc(1), qv("d")])
+            .finish()
+            .unwrap();
+        assert_eq!(point.eval(&d), [Tuple::new(vec![s("cs")])].into());
+        assert!(d.indexed_columns(emp).is_empty());
+        assert!(d.indexed_column_sets(emp).is_empty());
+    }
+
+    #[test]
+    fn a_key_fd_point_read_shares_one_column_index() {
+        use crate::cqa::consistent_answers;
+        use crate::engine::RepairConfig;
+        use cqa_constraints::{builders, IcSet};
+        let sc = Schema::builder()
+            .relation("R", ["k", "v"])
+            .finish()
+            .unwrap()
+            .into_shared();
+        let mut d = Instance::empty(sc.clone());
+        d.insert_named("R", [s("k1"), s("a")]).unwrap();
+        d.insert_named("R", [s("k2"), s("a")]).unwrap();
+        d.insert_named("R", [s("k2"), s("b")]).unwrap();
+        let ics = IcSet::new([builders::functional_dependency(&sc, "R", &[0], 1)
+            .unwrap()
+            .into()]);
+        let r = sc.rel_id("R").unwrap();
+        for (key, want) in [("k1", vec![s("a")]), ("k2", vec![])] {
+            let q: Query = ConjunctiveQuery::builder(&sc, "q", ["v"])
+                .atom("R", [qc(s(key)), qv("v")])
+                .finish()
+                .unwrap()
+                .into();
+            let answers = consistent_answers(
+                &d,
+                &ics,
+                &q,
+                RepairConfig::default(),
+                AnswerSemantics::IncludeNullAnswers,
+                QueryNullSemantics::NullAsValue,
+            )
+            .unwrap();
+            let want: Vec<Tuple> = want.into_iter().map(|v| Tuple::new(vec![v])).collect();
+            assert_eq!(answers.tuples.into_iter().collect::<Vec<_>>(), want);
+        }
+        // The candidate probe and the key guard share the ColumnIndex on
+        // the key column; no composite index duplicates it.
+        assert_eq!(d.indexed_columns(r), vec![0]);
+        assert!(d.indexed_column_sets(r).is_empty());
     }
 }

@@ -7,9 +7,16 @@
 //! disagrees on the dependent position". Our conjunctive-query core only
 //! supports atom-level negation, and the guard is a negated *conjunction*
 //! (`¬∃t′: same key ∧ different value`), so instead of materialising the
-//! rewritten formula the guard is evaluated directly: one composite-index
-//! probe on the FD's determinant per (candidate tuple, FD) — semantically
-//! the same rewritten query, at O(log n) per guard.
+//! rewritten formula the guard is evaluated directly: one index probe on
+//! the FD's determinant per (candidate tuple, FD) — semantically the same
+//! rewritten query, at O(log n) per guard.
+//!
+//! The candidates come from the planner's `for_each_match` and the
+//! partners from the FD probe, both listed through
+//! [`cqa_relational::Candidates`] over the caller's instance, so they share
+//! its indexes: a one-column key is the same `ColumnIndex` a point read on
+//! that column probes (and the constraint checker registers), not a second,
+//! composite index on the same column.
 //!
 //! Null-awareness sharpens the guard in two ways (see `plan.rs` for the
 //! derivation):
@@ -23,7 +30,7 @@
 
 use crate::plan::TupleOracle;
 use cqa_constraints::{fd_key_columns, FdKey, IcSet};
-use cqa_relational::{Instance, RelId, Value};
+use cqa_relational::{Candidates, IndexBuild, Instance, RelId, Value};
 use std::collections::HashMap;
 
 /// Per-relation guard data: the key FDs and NOT NULL positions that
@@ -87,8 +94,9 @@ impl TupleOracle for RewriteOracle<'_> {
                 continue;
             }
             let key: Vec<Value> = fd.determinant.iter().map(|&p| values[p]).collect();
-            let index = self.d.index_on_cols(rel, &fd.determinant);
-            for partner in index.probe_values(&key) {
+            let partners =
+                Candidates::new(self.d, rel, &fd.determinant, &key, IndexBuild::OnFirstUse);
+            for partner in partners.iter() {
                 let dep = partner.get(fd.dependent);
                 if !dep.is_null()
                     && *dep != values[fd.dependent]

@@ -1,5 +1,6 @@
 //! Secondary hash indexes over relation columns — single-column and
-//! composite (column-set).
+//! composite (column-set) — and [`Candidates`], the one way to list the
+//! tuples of a relation that agree with some bound columns.
 //!
 //! A [`ColumnIndex`] maps the value at one column of a relation to the
 //! (ordered) set of tuples holding that value — `R.c → {t ∈ R | t[c] = v}`.
@@ -13,10 +14,31 @@
 //!
 //! Indexes are built lazily on first request ([`crate::Instance::index_on`],
 //! [`crate::Instance::index_on_cols`]) and maintained incrementally on every
-//! subsequent insert/remove, so constraint checking can replace full
-//! relation scans with O(1) hash probes while mutating search code (the
-//! repair engine) pays only O(#registered indexes of the touched relation)
-//! per change.
+//! subsequent insert/remove, so joins can replace full relation scans with
+//! O(1) hash probes while mutating search code (the repair engine) pays
+//! only O(#registered indexes of the touched relation) per change.
+//!
+//! ## Who probes, and when an index is built
+//!
+//! Every join in the workspace lists its candidates through
+//! [`Candidates::new`]: no bound column scans the relation, one bound
+//! column probes its [`ColumnIndex`], several probe the [`CompositeIndex`]
+//! of exactly that column set — so one column always means one
+//! `ColumnIndex`, whoever asks. The callers are the constraint checker
+//! (`cqa-constraints`' incremental module), query evaluation (`cqa-core`'s
+//! `query` module: FO-rewrite, chase and enumeration all end there) and the
+//! FO-rewrite key guard. The [`IndexBuild`] argument says whether a missing
+//! index may be built:
+//!
+//! * over an instance the caller keeps (the checker, the fast paths'
+//!   candidate enumeration, the key guard) it is built on first use
+//!   ([`IndexBuild::OnFirstUse`]); the instance keeps it across calls and
+//!   maintains it on writes;
+//! * one-shot evaluation over an instance made for one call (a repair)
+//!   builds an index only for an atom it probes once per outer binding,
+//!   and lists a root atom through an index only when one is registered
+//!   ([`IndexBuild::RegisteredOnly`]) — building an index to read it once
+//!   costs more than the scan it replaces.
 //!
 //! Design notes:
 //!
@@ -41,11 +63,11 @@
 //!   the logical value sequence, so inline and spilled keys of the same
 //!   values are interchangeable.
 
-use crate::instance::Relation;
+use crate::instance::{Instance, Relation};
 use crate::schema::RelId;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{btree_set, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
@@ -279,6 +301,83 @@ impl CompositeIndex {
     }
 }
 
+/// Whether [`Candidates::new`] may build a missing index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IndexBuild {
+    /// Build it on first use; the instance keeps it and maintains it on
+    /// every later write.
+    OnFirstUse,
+    /// Probe only an index the instance already has, and scan otherwise.
+    RegisteredOnly,
+}
+
+/// The tuples of one relation that agree with some bound columns, listed
+/// through the instance's indexes — see the module docs for who probes
+/// and when an index is built.
+///
+/// Every variant iterates in tuple order, so a probe lists its matches in
+/// the order a scan would. A [`Candidates::Scan`] lists the whole
+/// relation, also when columns were bound but no index was used: callers
+/// still match every position of each tuple they are handed.
+#[derive(Debug, Clone)]
+pub enum Candidates<'a> {
+    /// No column bound (or no registered index under
+    /// [`IndexBuild::RegisteredOnly`]): every tuple of the relation.
+    Scan(&'a Relation),
+    /// One bound column: the bucket of its [`ColumnIndex`].
+    Probe(Arc<ColumnIndex>, Value),
+    /// Several bound columns: the bucket of the [`CompositeIndex`] of
+    /// exactly that column set — no residual filtering on bound columns.
+    ProbeCols(Arc<CompositeIndex>, ColsKey),
+}
+
+impl<'a> Candidates<'a> {
+    /// The tuples of `rel` holding `values[i]` at column `cols[i]`;
+    /// `cols` must be strictly ascending (the canonical order of a
+    /// composite index), with one value per column.
+    pub fn new(
+        instance: &'a Instance,
+        rel: RelId,
+        cols: &[usize],
+        values: &[Value],
+        build: IndexBuild,
+    ) -> Candidates<'a> {
+        debug_assert_eq!(cols.len(), values.len());
+        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols must ascend");
+        let relation = instance.relation(rel);
+        let indexes = instance.index_store();
+        match (cols, build) {
+            ([], _) => Candidates::Scan(relation),
+            ([col], IndexBuild::OnFirstUse) => {
+                Candidates::Probe(instance.index_on(rel, *col), values[0])
+            }
+            ([col], IndexBuild::RegisteredOnly) => match indexes.registered(rel, *col) {
+                Some(ix) => Candidates::Probe(ix, values[0]),
+                None => Candidates::Scan(relation),
+            },
+            (_, IndexBuild::OnFirstUse) => {
+                Candidates::ProbeCols(instance.index_on_cols(rel, cols), ColsKey::new(values))
+            }
+            (_, IndexBuild::RegisteredOnly) => {
+                let cols: Vec<u32> = cols.iter().map(|&c| c as u32).collect();
+                match indexes.registered_set(rel, &cols) {
+                    Some(ix) => Candidates::ProbeCols(ix, ColsKey::new(values)),
+                    None => Candidates::Scan(relation),
+                }
+            }
+        }
+    }
+
+    /// The candidate tuples, in tuple order.
+    pub fn iter(&self) -> btree_set::Iter<'_, Tuple> {
+        match self {
+            Candidates::Scan(relation) => relation.iter(),
+            Candidates::Probe(ix, value) => ix.probe(value).iter(),
+            Candidates::ProbeCols(ix, key) => ix.probe(key).iter(),
+        }
+    }
+}
+
 /// The registered secondary indexes of one [`crate::Instance`].
 ///
 /// Interior mutability (`RwLock`) lets read-only consistency checks build
@@ -312,6 +411,25 @@ impl IndexStore {
         let mut w = self.by_col.write().expect("index lock");
         w.entry(key).or_insert_with(|| built.clone());
         w[&key].clone()
+    }
+
+    /// The index for `(rel, col)`, if one is registered.
+    fn registered(&self, rel: RelId, col: usize) -> Option<Arc<ColumnIndex>> {
+        self.by_col
+            .read()
+            .expect("index lock")
+            .get(&(rel.0, col as u32))
+            .cloned()
+    }
+
+    /// The composite index for `(rel, cols)`, if one is registered;
+    /// `cols` must be strictly ascending.
+    fn registered_set(&self, rel: RelId, cols: &[u32]) -> Option<Arc<CompositeIndex>> {
+        let by_cols = self.by_cols.read().expect("index lock");
+        let list = by_cols.get(&rel.0)?;
+        list.iter()
+            .find(|(cs, _)| &**cs == cols)
+            .map(|(_, ix)| ix.clone())
     }
 
     /// Fetch (building if absent) the composite index for `(rel, cols)`;
@@ -555,6 +673,39 @@ mod tests {
         assert_eq!(a.cols(), &[0, 2]);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(d.indexed_column_sets(t), vec![vec![0, 2]]);
+    }
+
+    #[test]
+    fn candidates_probe_the_index_of_the_bound_columns() {
+        let mut d = Instance::empty(schema3());
+        for (a, b) in [(1, 1), (1, 2), (2, 1)] {
+            d.insert_named("T", [i(a), i(b), s("p")]).unwrap();
+        }
+        let t = d.schema().rel_id("T").unwrap();
+        let list = |c: &Candidates| c.iter().cloned().collect::<Vec<Tuple>>();
+        let row = |a, b| Tuple::new(vec![i(a), i(b), s("p")]);
+        // RegisteredOnly scans where no index exists, and builds none.
+        let scan = Candidates::new(&d, t, &[0], &[i(1)], IndexBuild::RegisteredOnly);
+        assert!(matches!(scan, Candidates::Scan(_)));
+        assert_eq!(list(&scan).len(), 3);
+        assert!(d.indexed_columns(t).is_empty());
+        // OnFirstUse builds one ColumnIndex per column, a composite index
+        // per column set, and RegisteredOnly then probes them.
+        for build in [IndexBuild::OnFirstUse, IndexBuild::RegisteredOnly] {
+            let one = Candidates::new(&d, t, &[0], &[i(1)], build);
+            assert!(matches!(one, Candidates::Probe(..)));
+            assert_eq!(list(&one), vec![row(1, 1), row(1, 2)]);
+            let two = Candidates::new(&d, t, &[0, 1], &[i(1), i(2)], build);
+            assert!(matches!(two, Candidates::ProbeCols(..)));
+            assert_eq!(list(&two), vec![row(1, 2)]);
+        }
+        assert_eq!(d.indexed_columns(t), vec![0]);
+        assert_eq!(d.indexed_column_sets(t), vec![vec![0, 1]]);
+        let all = Candidates::new(&d, t, &[], &[], IndexBuild::OnFirstUse);
+        assert_eq!(
+            list(&all),
+            d.relation(t).iter().cloned().collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -184,6 +184,11 @@ impl Instance {
             .get_or_build(rel, col, &self.relations[rel.index()])
     }
 
+    /// The registered indexes, for [`crate::Candidates`].
+    pub(crate) fn index_store(&self) -> &IndexStore {
+        &self.indexes
+    }
+
     /// The registered index columns of `rel` (diagnostics and tests).
     pub fn indexed_columns(&self, rel: RelId) -> Vec<u32> {
         self.indexes.registered_cols(rel)

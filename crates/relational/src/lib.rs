@@ -43,7 +43,7 @@ pub use atom::DatabaseAtom;
 pub use cancel::{CancelToken, Cancelled};
 pub use diff::{delta, Delta, InstanceDelta};
 pub use error::RelationalError;
-pub use index::{ColsKey, ColumnIndex, CompositeIndex};
+pub use index::{Candidates, ColsKey, ColumnIndex, CompositeIndex, IndexBuild};
 pub use instance::{Instance, Relation};
 pub use schema::{RelId, RelationSchema, Schema, SchemaBuilder};
 pub use symbol::Symbol;

@@ -11,6 +11,15 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple(Arc<[Value]>);
 
+/// A relation can be searched by a value slice
+/// (`relation.contains(values)`) without building a tuple: a `Tuple`
+/// compares, orders and hashes exactly as its values do.
+impl std::borrow::Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.0
+    }
+}
+
 impl Tuple {
     /// Build a tuple from values.
     pub fn new(values: impl IntoIterator<Item = Value>) -> Self {

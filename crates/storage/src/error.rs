@@ -34,6 +34,10 @@ pub enum StorageError {
     /// The persisted tuples failed to re-validate against the persisted
     /// schema (only possible if the files were edited by hand).
     Relational(cqa_relational::RelationalError),
+    /// An earlier append failed and its frame could not be cut back out
+    /// of the WAL, so this handle refuses every later append. Reopening
+    /// the store recovers the durable state.
+    Poisoned,
 }
 
 impl StorageError {
@@ -61,6 +65,10 @@ impl fmt::Display for StorageError {
             }
             StorageError::Constraint(e) => write!(f, "persisted constraint invalid: {e}"),
             StorageError::Relational(e) => write!(f, "persisted instance invalid: {e}"),
+            StorageError::Poisoned => write!(
+                f,
+                "an earlier failed append could not be rolled back; this handle refuses appends"
+            ),
         }
     }
 }

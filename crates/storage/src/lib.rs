@@ -143,8 +143,11 @@
 //!   returning an error at any point. Contract: the error propagates as
 //!   [`StorageError`]; on-disk state remains one of the two states the
 //!   writer protocol allows (old or new), so a subsequent open recovers
-//!   a consistent prefix. A failed WAL fsync errors the append it
-//!   would have acknowledged.
+//!   a consistent prefix. A failed WAL write or fsync errors the append
+//!   it would have acknowledged and cuts the frame back out of the log,
+//!   so a later append neither makes it durable nor sits behind its
+//!   torn bytes; if that rollback fails too, the handle refuses every
+//!   later append ([`StorageError::Poisoned`]).
 //! * **Crash between protocol steps** — e.g. after segments are written
 //!   but before the manifest, after `manifest.tmp` is written but
 //!   before the rename, or after the rename but before the directory

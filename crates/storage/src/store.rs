@@ -171,6 +171,18 @@ struct StoreInner {
     /// rewritten at the next compaction; everything else is reused.
     dirty: BTreeSet<RelId>,
     stats: StoreStats,
+    /// An append failed and its frame could not be cut back out of the
+    /// log: every later append is refused with [`StorageError::Poisoned`].
+    poisoned: bool,
+}
+
+/// Write one frame and, when `fsync` is set, make it durable.
+fn write_frame(wal: &mut Wal, payload: &[u8], fsync: bool) -> Result<u64, StorageError> {
+    let seq = wal.append(payload)?;
+    if fsync {
+        wal.sync()?;
+    }
+    Ok(seq)
 }
 
 /// A manifest + segments + WAL ensemble rooted at one directory.
@@ -227,6 +239,7 @@ impl DurableStore {
                 layout: outcome.layout,
                 dirty: BTreeSet::new(),
                 stats: StoreStats::default(),
+                poisoned: false,
             }),
         })
     }
@@ -319,6 +332,7 @@ impl DurableStore {
                 layout: snap.layout,
                 dirty,
                 stats: StoreStats::default(),
+                poisoned: false,
             }),
         };
         Ok((
@@ -364,8 +378,12 @@ impl DurableStore {
 
     /// The one append step, under the store lock: write the frame, mark
     /// its relations dirty, count it and, under [`FsyncPolicy::Always`],
-    /// fsync before returning. A failed fsync returns the error, so the
-    /// caller never acknowledges the write.
+    /// fsync before returning. A failed write or fsync returns the error,
+    /// so the caller never acknowledges the write, and cuts the frame back
+    /// out of the log ([`Wal::rollback`]): the next append takes its
+    /// place and its sequence number, so sequence numbers stay 1:1 with
+    /// acknowledged ops. If the rollback fails too, the handle refuses
+    /// every later append with [`StorageError::Poisoned`].
     fn append_payload(
         &self,
         payload: Vec<u8>,
@@ -373,14 +391,26 @@ impl DurableStore {
         is_constraint: bool,
     ) -> Result<u64, StorageError> {
         let mut inner = self.lock_inner();
-        let seq = inner.wal.append(&payload)?;
+        if inner.poisoned {
+            return Err(StorageError::Poisoned);
+        }
+        let mark = inner.wal.mark();
+        let fsync = self.options.fsync == FsyncPolicy::Always;
+        let seq = match write_frame(&mut inner.wal, &payload, fsync) {
+            Ok(seq) => seq,
+            Err(e) => {
+                if inner.wal.rollback(mark).is_err() {
+                    inner.poisoned = true;
+                }
+                return Err(e);
+            }
+        };
         inner.dirty.extend(dirty_rels);
         inner.stats.appends += 1;
         if is_constraint {
             inner.stats.constraint_frames += 1;
         }
-        if self.options.fsync == FsyncPolicy::Always {
-            inner.wal.sync()?;
+        if fsync {
             inner.stats.fsyncs += 1;
         }
         Ok(seq)

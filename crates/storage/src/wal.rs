@@ -92,6 +92,18 @@ pub struct WalScan {
 #[derive(Debug)]
 pub struct Wal {
     file: Box<dyn VfsFile>,
+    /// Byte length of the log up to the end of the last frame written
+    /// whole.
+    end: u64,
+    next_seq: u64,
+}
+
+/// Where a [`Wal`] ends: its byte length and the next sequence number.
+/// Taken before an append, it lets [`Wal::rollback`] cut a failed
+/// append back out of the log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WalMark {
+    end: u64,
     next_seq: u64,
 }
 
@@ -107,7 +119,11 @@ impl Wal {
         let mut file = vfs.create_truncate(path)?;
         file.write_all(WAL_MAGIC)?;
         file.sync_all()?;
-        Ok(Wal { file, next_seq: 1 })
+        Ok(Wal {
+            file,
+            end: WAL_MAGIC.len() as u64,
+            next_seq: 1,
+        })
     }
 
     /// Open an existing WAL on the real filesystem: scan every frame,
@@ -139,7 +155,11 @@ impl Wal {
             file.write_all(WAL_MAGIC)?;
             file.sync_all()?;
             return Ok((
-                Wal { file, next_seq: 1 },
+                Wal {
+                    file,
+                    end: WAL_MAGIC.len() as u64,
+                    next_seq: 1,
+                },
                 WalScan {
                     frames: Vec::new(),
                     bytes_truncated: bytes.len() as u64,
@@ -200,7 +220,11 @@ impl Wal {
 
         let next_seq = frames.last().map(|f| f.seq + 1).unwrap_or(1);
         Ok((
-            Wal { file, next_seq },
+            Wal {
+                file,
+                end: good_end as u64,
+                next_seq,
+            },
             WalScan {
                 frames,
                 bytes_truncated,
@@ -218,11 +242,22 @@ impl Wal {
         Ok(self.file.len()?)
     }
 
+    /// Where the log ends now; pass it to [`Wal::rollback`] to undo the
+    /// appends made after it.
+    pub fn mark(&self) -> WalMark {
+        WalMark {
+            end: self.end,
+            next_seq: self.next_seq,
+        }
+    }
+
     /// Append one payload as a frame; returns its sequence number. The
     /// frame is *written, not synced* — durability is the caller's move
     /// ([`Wal::sync`]). Callers must not acknowledge the write (mutate
     /// in-memory state and return to their caller) until that sync has
-    /// succeeded, when their fsync policy requires one.
+    /// succeeded, when their fsync policy requires one. If the write or
+    /// that sync fails, part or all of the frame may be in the file:
+    /// cut it back out with [`Wal::rollback`] before appending again.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StorageError> {
         let seq = self.next_seq;
         let mut checked = Vec::with_capacity(8 + payload.len());
@@ -237,8 +272,25 @@ impl Wal {
         frame.extend_from_slice(payload);
         self.file.write_all(&frame)?;
 
+        self.end += frame.len() as u64;
         self.next_seq += 1;
         Ok(seq)
+    }
+
+    /// Cut the log back to `mark`: truncate every byte written since,
+    /// make the truncation durable and restore the sequence counter, so
+    /// the next append takes the place (and the sequence number) of the
+    /// frames it drops. A failed append that is not rolled back stays in
+    /// the file: the next successful fsync makes a frame its caller was
+    /// told failed durable, or a torn frame hides every frame after it
+    /// from recovery.
+    pub fn rollback(&mut self, mark: WalMark) -> Result<(), StorageError> {
+        self.file.set_len(mark.end)?;
+        self.file.seek(SeekFrom::Start(mark.end))?;
+        self.file.sync_all()?;
+        self.end = mark.end;
+        self.next_seq = mark.next_seq;
+        Ok(())
     }
 
     /// Flush everything appended so far to stable storage.
@@ -261,6 +313,7 @@ impl Wal {
         self.file.set_len(WAL_MAGIC.len() as u64)?;
         self.file.seek(SeekFrom::Start(WAL_MAGIC.len() as u64))?;
         self.file.sync_all()?;
+        self.end = WAL_MAGIC.len() as u64;
         Ok(())
     }
 

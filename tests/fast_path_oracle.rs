@@ -101,7 +101,8 @@ fn acyclic_subset(rng: &mut XorShift, sc: &Schema) -> IcSet {
 
 /// Quantifier-free queries touching every pool relation: plain scans, a
 /// builtin, negation against a constrained relation, a self-join-shaped
-/// negation, and a ground boolean sentence.
+/// negation, a ground boolean sentence, and one query per index-probe
+/// path of the evaluator.
 fn query_pool(sc: &Arc<Schema>) -> Vec<Query> {
     let qv = v;
     let qc = |val: Value| c(val);
@@ -136,6 +137,35 @@ fn query_pool(sc: &Arc<Schema>) -> Vec<Query> {
             .into(),
         ConjunctiveQuery::builder(sc, "q_bool", Vec::<String>::new())
             .atom("R", [qc(s("c0")), qc(s("c1"))])
+            .finish()
+            .unwrap()
+            .into(),
+        // Index probes: a constant among variables (first and second
+        // column), a null constant, a composite probe, and a join whose
+        // inner atom is probed once per outer binding.
+        ConjunctiveQuery::builder(sc, "q_key", ["y"])
+            .atom("R", [qc(s("c0")), qv("y")])
+            .finish()
+            .unwrap()
+            .into(),
+        ConjunctiveQuery::builder(sc, "q_val", ["x"])
+            .atom("R", [qv("x"), qc(s("c1"))])
+            .finish()
+            .unwrap()
+            .into(),
+        ConjunctiveQuery::builder(sc, "q_null", ["x"])
+            .atom("R", [qv("x"), qc(Value::Null)])
+            .finish()
+            .unwrap()
+            .into(),
+        ConjunctiveQuery::builder(sc, "q_cols", ["w"])
+            .atom("T", [qc(s("c0")), qc(s("c1")), qv("w")])
+            .finish()
+            .unwrap()
+            .into(),
+        ConjunctiveQuery::builder(sc, "q_join", ["x", "y", "u", "w"])
+            .atom("R", [qv("x"), qv("y")])
+            .atom("T", [qv("y"), qv("u"), qv("w")])
             .finish()
             .unwrap()
             .into(),

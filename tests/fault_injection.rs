@@ -345,6 +345,103 @@ fn fault_matrix_every_point_is_typed_or_recoverable() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
+/// A failed append leaves nothing in the log: the handle goes on
+/// accepting writes after the fault, and a reopen must hold exactly
+/// what the handle acknowledged. Two inserts on a fresh store, the
+/// first one faulted — its WAL fsync fails, its frame is short-written,
+/// or its frame is short-written and the rollback's own fsync fails
+/// too, which leaves the handle refusing appends.
+#[test]
+fn a_failed_append_never_reaches_the_log() {
+    let base = scratch("failed-append");
+    let dir = base.join("store");
+    // Default compaction thresholds: two small inserts never compact,
+    // so the WAL alone carries them to the reopen.
+    let opts = || StoreOptions {
+        fsync: FsyncPolicy::Always,
+        ..StoreOptions::default()
+    };
+    let create = |vfs: &FaultVfs| {
+        let _ = std::fs::remove_dir_all(&dir);
+        let catalog = cqa::sql::parse_script(SEED).unwrap();
+        Database::persistent_with_vfs(
+            &dir,
+            catalog.instance,
+            catalog.constraints,
+            opts(),
+            Arc::new(vfs.clone()),
+        )
+        .unwrap()
+    };
+    let row = |k: &str| [cqa::s(k), cqa::s("y")];
+
+    // Profile: the I/O of creating the store, then of one insert.
+    let vfs = FaultVfs::new(FaultScript::profile());
+    let mut db = create(&vfs);
+    let created = vfs.counts();
+    assert!(db.insert("r", row("w1")).unwrap());
+    let one = vfs.counts();
+    drop(db);
+    assert_eq!(
+        (one.writes - created.writes, one.fsyncs - created.fsyncs),
+        (1, 1),
+        "an append is one frame write and one fsync"
+    );
+    let (write, fsync) = (created.writes + 1, created.fsyncs + 1);
+
+    let cases = [
+        ("fsync", FaultScript::default().fail_fsync(fsync), false),
+        (
+            "short-write",
+            FaultScript::default().short_write(write, 7),
+            false,
+        ),
+        // The rollback's fsync follows the failed write directly.
+        (
+            "short-write+failed-rollback",
+            FaultScript::default()
+                .short_write(write, 7)
+                .fail_fsync(fsync),
+            true,
+        ),
+    ];
+    for (what, script, poisoned) in cases {
+        let vfs = FaultVfs::new(script);
+        let mut db = create(&vfs);
+        let results = [
+            ("w1", db.insert("r", row("w1"))),
+            ("w2", db.insert("r", row("w2"))),
+        ];
+        assert!(vfs.faults_fired() >= 1, "[{what}] the fault fired");
+        assert!(results[0].1.is_err(), "[{what}] the faulted insert fails");
+        match &results[1].1 {
+            Err(Error::Storage(cqa::storage::StorageError::Poisoned)) if poisoned => {}
+            Ok(true) if !poisoned => {}
+            other => panic!("[{what}] unexpected second insert: {other:?}"),
+        }
+        let memory = atoms(&db);
+        drop(db);
+
+        let reopened = Database::open_with(&dir, opts()).unwrap();
+        let recovered = atoms(&reopened);
+        let r = reopened.instance().relation_named("r").unwrap();
+        for (key, result) in &results {
+            let held = r.contains(&cqa::relational::Tuple::new(row(key)));
+            assert_eq!(
+                held,
+                result.is_ok(),
+                "[{what}] {key} returned {result:?} but a reopen {} it",
+                if held { "holds" } else { "lacks" }
+            );
+        }
+        assert_eq!(
+            memory, recovered,
+            "[{what}] memory equals the reopened state"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
 /// Bit-flips on the read path of `Database::open`: a flipped snapshot
 /// read fails its CRC with a typed error and leaves the disk intact; a
 /// flipped WAL read is indistinguishable from on-disk corruption, so
