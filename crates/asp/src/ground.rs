@@ -30,7 +30,10 @@
 //!   `PT` set — the standard seminaive discipline, with the binding set
 //!   `instances[rule]` absorbing duplicate derivations. New head atoms
 //!   entering `PT` go back on the worklist, so one fact delta propagates
-//!   in cost proportional to its derivation cone.
+//!   in cost proportional to its derivation cone. A body atom whose
+//!   leading arguments are bound lists only the `PT` rows in the range
+//!   that starts at that prefix, so a key-first join such as the FD rule
+//!   `R(x, y), R(x, z)` reads one key's rows, not the whole relation.
 //! * **Refcounted resolved-rule store.** The emitted [`GroundProgram`] is
 //!   maintained *in place*: every satisfying binding resolves to a ground
 //!   rule which is inserted with a reference count (distinct bindings can
@@ -108,6 +111,7 @@ use crate::error::AspError;
 use crate::syntax::{AtomSpec, BodyLit, Literal, PredId, Program, Rule, RuleAtom, Term};
 use cqa_relational::{CancelToken, Cancelled, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::ops::Bound;
 
 /// Dense ground-atom identifier.
 pub type AtomId = u32;
@@ -1286,7 +1290,21 @@ fn collect_bindings(
         let Literal::Pos(atom) = &rule.body[info.positives[depth]] else {
             unreachable!("positives index a positive literal");
         };
-        let rows: &BTreeSet<Vec<Value>> = &pt[atom.pred.index()];
+        // The leading positions bound by constants or earlier atoms fix a
+        // prefix of every matching row. Rows are ordered by their values,
+        // so the candidates are the contiguous range starting at that
+        // prefix, in the order a full scan would meet them.
+        let prefix: Vec<Value> = atom
+            .terms
+            .iter()
+            .map_while(|t| match t {
+                Term::Const(c) => Some(*c),
+                Term::Var(v) => bindings[*v as usize],
+            })
+            .collect();
+        let rows = pt[atom.pred.index()]
+            .range::<[Value], _>((Bound::Included(prefix.as_slice()), Bound::Unbounded))
+            .take_while(|row| row.starts_with(&prefix));
         for row in rows {
             if let Some(newly) = match_row(atom, row, bindings) {
                 join(rule, info, pt, depth + 1, skip, bindings, out);

@@ -41,7 +41,7 @@
 //!    model set is sorted, so it is identical at every thread count.
 
 use crate::error::AspError;
-use crate::ground::{AtomId, GroundProgram, GroundRule, GroundingState};
+use crate::ground::{AtomId, GroundRule, GroundingState};
 use crate::solve::Lit;
 use crate::stable::{encode_tagged, is_stable_warm, Model, SolveOptions, Warm};
 use cqa_relational::{CancelToken, Cancelled};
@@ -95,7 +95,7 @@ enum StoredLit {
 /// completion clauses of `markers` — and by *nothing else* — so it may be
 /// injected into any component where that premise reproduces.
 #[derive(Debug, Clone)]
-struct StoredClause {
+pub(crate) struct StoredClause {
     lits: Vec<StoredLit>,
     /// Sorted, deduplicated premise rules ([`StoredLit::Support`] indexes
     /// into this).
@@ -210,7 +210,7 @@ impl Default for SolverState {
 /// the sorted rule list of each component, in a deterministic order.
 /// `None` signals an unconditional falsum (a rule with no atoms at all:
 /// an empty-bodied denial) — the program has no models.
-fn partition_rules(rules: &[GroundRule]) -> Option<Vec<Vec<GroundRule>>> {
+pub(crate) fn partition_rules(rules: &[GroundRule]) -> Option<Vec<Vec<GroundRule>>> {
     // Union–find over atoms; each rule unions all its atoms.
     let max_atom = rules
         .iter()
@@ -270,18 +270,21 @@ fn partition_rules(rules: &[GroundRule]) -> Option<Vec<Vec<GroundRule>>> {
 
 /// Solve one component from scratch on the premise-tagged encoding,
 /// injecting every still-valid stored clause and harvesting new ones.
+/// Also the per-component step of
+/// [`crate::stable::cautious_consequences_cancellable`], which passes an
+/// empty store and drops the harvest.
 /// Returns the component's stable models (global atom ids, sorted), the
 /// harvested clauses and the number of stored clauses re-injected.
-fn solve_partition(
-    gp: &GroundProgram,
+pub(crate) fn solve_partition(
     rules: &[GroundRule],
     stored: &VecDeque<StoredClause>,
     threads: usize,
     mut warm: Option<&mut Warm>,
     cancel: &CancelToken,
 ) -> Result<(Vec<Model>, Vec<StoredClause>, u64), Cancelled> {
-    // Local program: atoms re-interned densely, rules re-indexed.
-    let mut local = GroundProgram::default();
+    // Local rules: the component's atoms numbered densely in first-seen
+    // order; the solver reads only ids, never atom contents.
+    let mut local: Vec<GroundRule> = Vec::with_capacity(rules.len());
     let mut to_local: HashMap<AtomId, u32> = HashMap::new();
     let mut to_global: Vec<AtomId> = Vec::new();
     for rule in rules {
@@ -290,7 +293,7 @@ fn solve_partition(
                 .map(|&a| {
                     *to_local.entry(a).or_insert_with(|| {
                         to_global.push(a);
-                        local.intern(gp.atom(a).clone())
+                        to_global.len() as u32 - 1
                     })
                 })
                 .collect()
@@ -298,10 +301,10 @@ fn solve_partition(
         let head = map_ids(&rule.head);
         let pos = map_ids(&rule.pos);
         let neg = map_ids(&rule.neg);
-        local.push_rule(GroundRule { head, pos, neg });
+        local.push(GroundRule { head, pos, neg });
     }
-    let n = local.atom_count();
-    let encoded = encode_tagged(&local);
+    let n = to_global.len();
+    let encoded = encode_tagged(&local, n);
     let mut cnf = encoded.cnf;
     let support_base = encoded.support_base;
 
@@ -495,7 +498,7 @@ pub fn resolve_on_state(
                     loop {
                         let k = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&i) = misses.get(k) else { break };
-                        let res = solve_partition(gp, &partitions[i], stored, 1, None, cancel);
+                        let res = solve_partition(&partitions[i], stored, 1, None, cancel);
                         let failed = res.is_err();
                         out.push((i, res));
                         if failed {
@@ -519,7 +522,6 @@ pub fn resolve_on_state(
     } else {
         for &i in &misses {
             match solve_partition(
-                gp,
                 &partitions[i],
                 &ss.clauses,
                 opts.threads,

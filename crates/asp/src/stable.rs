@@ -21,12 +21,21 @@
 //! (non-disjunctive) programs the least-model fixpoint decides it in
 //! polynomial time — the complexity gap of the paper's Section 6 made
 //! concrete.
+//!
+//! Cautious reasoning ([`cautious_consequences_cancellable`]) does not
+//! enumerate whole-program models: it intersects each atom-disjoint
+//! component's models on their own, the splitting [`crate::resolve`]
+//! already applies to repairs. Π(D, IC) splits into one small component
+//! per conflict and per clean fact (unless query rules join them), so `k`
+//! independent binary conflicts cost `2k` component models instead of
+//! `2^k` whole-program models.
 
 use crate::error::AspError;
 use crate::ground::{AtomId, GroundProgram, GroundRule};
+use crate::resolve::{partition_rules, solve_partition};
 use crate::solve::{Cnf, Lit};
 use cqa_relational::{CancelToken, Cancelled};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::ops::ControlFlow;
 
 /// A model: the set of true atoms.
@@ -121,7 +130,7 @@ pub fn for_each_stable_model_with<B>(
         let model: Model = (0..n as AtomId)
             .filter(|&a| assignment[a as usize])
             .collect();
-        match is_stable_warm(gp, &model, opts, Some(&mut warm), cancel) {
+        match is_stable_warm(&gp.rules, &model, opts, Some(&mut warm), cancel) {
             Err(c) => ControlFlow::Break(Err(c)),
             Ok(false) => ControlFlow::Continue(()),
             Ok(true) => match f(&model) {
@@ -186,36 +195,49 @@ pub fn cautious_consequences(gp: &GroundProgram) -> Option<Model> {
 }
 
 /// [`cautious_consequences`] under a cancellation token. On interruption
-/// returns [`AspError::Interrupted`] whose `partial` counts the stable
-/// models intersected before the token tripped — the partial intersection
-/// itself is *not* returned, because it over-approximates the cautious
-/// consequences until every model has been seen.
+/// returns [`AspError::Interrupted`] whose `partial` counts the
+/// per-component stable models intersected before the token tripped — the
+/// partial result itself is *not* returned, because it over-approximates
+/// the cautious consequences until every model has been seen.
+///
+/// Solved component by component, never over whole-program models. The
+/// rules split into atom-disjoint components ([`crate::resolve`]'s
+/// partitioning), and by the splitting theorem the stable models of the
+/// program are exactly the unions of one stable model per component. So
+/// the program has a stable model iff every component has one, and an atom
+/// is cautious iff it is true in every stable model of its component: the
+/// answer is the union of the per-component intersections. A program of
+/// `k` components with `m` models each costs `k·m` models here instead of
+/// `m^k`.
 pub fn cautious_consequences_cancellable(
     gp: &GroundProgram,
     cancel: &CancelToken,
 ) -> Result<Option<Model>, AspError> {
-    let mut acc: Option<Model> = None;
+    let interrupted = |partial| AspError::Interrupted {
+        phase: "cautious consequences",
+        partial,
+    };
+    cancel.check().map_err(|Cancelled| interrupted(0))?;
+    let Some(components) = partition_rules(&gp.rules) else {
+        return Ok(None); // an empty-bodied denial: no model at all
+    };
+    let (no_stored, mut warm) = (VecDeque::new(), Warm::default());
+    let mut cautious = Model::new();
     let mut seen = 0usize;
-    let res = for_each_stable_model_cancellable(gp, cancel, |m| {
-        seen += 1;
-        match &mut acc {
-            None => acc = Some(m.clone()),
-            Some(inter) => {
-                inter.retain(|a| m.contains(a));
-                if inter.is_empty() {
-                    return ControlFlow::Break(());
-                }
-            }
+    for rules in &components {
+        let (models, _, _) = solve_partition(rules, &no_stored, 1, Some(&mut warm), cancel)
+            .map_err(|Cancelled| interrupted(seen))?;
+        seen += models.len();
+        let mut models = models.into_iter();
+        let Some(mut common) = models.next() else {
+            return Ok(None); // a modelless component sinks the program
+        };
+        for m in models {
+            common.retain(|a| m.contains(a));
         }
-        ControlFlow::<()>::Continue(())
-    });
-    match res {
-        Ok(_) => Ok(acc),
-        Err(Cancelled) => Err(AspError::Interrupted {
-            phase: "cautious consequences",
-            partial: seen,
-        }),
+        cautious.extend(common);
     }
+    Ok(Some(cautious))
 }
 
 /// Brave consequences: atoms true in *some* stable model.
@@ -246,7 +268,7 @@ pub fn is_stable_cancellable(
     model: &Model,
     cancel: &CancelToken,
 ) -> Result<bool, Cancelled> {
-    is_stable_warm(gp, model, SolveOptions::default(), None, cancel)
+    is_stable_warm(&gp.rules, model, SolveOptions::default(), None, cancel)
 }
 
 /// [`is_stable`] with explicit [`SolveOptions`]: `threads > 1` races a
@@ -258,21 +280,20 @@ pub fn is_stable_with(
     opts: SolveOptions,
     cancel: &CancelToken,
 ) -> Result<bool, Cancelled> {
-    is_stable_warm(gp, model, opts, None, cancel)
+    is_stable_warm(&gp.rules, model, opts, None, cancel)
 }
 
 /// Shared body of the `is_stable*` entry points: optional warm-start
 /// chaining (sequential callers) and optional portfolio minimality.
 pub(crate) fn is_stable_warm(
-    gp: &GroundProgram,
+    rules: &[GroundRule],
     model: &Model,
     opts: SolveOptions,
     warm: Option<&mut Warm>,
     cancel: &CancelToken,
 ) -> Result<bool, Cancelled> {
     // The GL-reduct: rules whose negative body avoids the model.
-    let reduct: Vec<&GroundRule> = gp
-        .rules
+    let reduct: Vec<&GroundRule> = rules
         .iter()
         .filter(|r| r.neg.iter().all(|n| !model.contains(n)))
         .collect();
@@ -392,7 +413,7 @@ pub(crate) struct Encoded {
 
 /// CNF encoding: rule clauses + support clauses (see module docs).
 fn encode(gp: &GroundProgram) -> Cnf {
-    encode_impl(gp, false).cnf
+    encode_impl(&gp.rules, gp.atom_count(), false).cnf
 }
 
 /// [`encode`] with per-clause premise tags for learned-clause reuse
@@ -404,18 +425,18 @@ fn encode(gp: &GroundProgram) -> Cnf {
 ///   the clause is definitional for atom `a`'s *exact* head-rule set: it
 ///   is only valid in a program whose rules heading `a` are exactly the
 ///   heading rules recorded in the premise.
-pub(crate) fn encode_tagged(gp: &GroundProgram) -> Encoded {
-    encode_impl(gp, true)
+pub(crate) fn encode_tagged(rules: &[GroundRule], atom_count: usize) -> Encoded {
+    encode_impl(rules, atom_count, true)
 }
 
-fn encode_impl(gp: &GroundProgram, tagged: bool) -> Encoded {
-    let n = gp.atom_count();
-    let rules_len = gp.rules.len() as u32;
+/// Encode `rules` over atoms `0..n`.
+fn encode_impl(rules: &[GroundRule], n: usize, tagged: bool) -> Encoded {
+    let rules_len = rules.len() as u32;
     // Auxiliary support variables, one per (rule, head-atom) pair,
     // allocated consecutively per rule.
-    let mut support_base: Vec<u32> = Vec::with_capacity(gp.rules.len());
+    let mut support_base: Vec<u32> = Vec::with_capacity(rules.len());
     let mut next = n as u32;
-    for rule in &gp.rules {
+    for rule in rules {
         support_base.push(next);
         next += rule.head.len() as u32;
     }
@@ -424,7 +445,7 @@ fn encode_impl(gp: &GroundProgram, tagged: bool) -> Encoded {
     let mut supports: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut heading: Vec<Vec<u32>> = vec![Vec::new(); if tagged { n } else { 0 }];
 
-    for (ri, rule) in gp.rules.iter().enumerate() {
+    for (ri, rule) in rules.iter().enumerate() {
         let tag = ri as u32;
         let emit = |cnf: &mut Cnf, lits: Vec<Lit>| {
             if tagged {
@@ -491,6 +512,7 @@ mod tests {
     use super::*;
     use crate::ground::ground;
     use crate::syntax::{atom, neg, pos, tv, Program};
+    use cqa_relational::testing::XorShift;
     use cqa_relational::{i, s, Value};
 
     fn models_of(p: &Program) -> Vec<Vec<String>> {
@@ -710,6 +732,94 @@ mod tests {
         assert!(models[0].contains(&"swap(y, x)".to_string()));
     }
 
+    /// The whole-program oracle: the intersection of every stable model.
+    fn cautious_oracle(gp: &GroundProgram) -> Option<Model> {
+        let mut models = stable_models(gp).into_iter();
+        let first = models.next()?;
+        Some(models.fold(first, |acc, m| acc.intersection(&m).copied().collect()))
+    }
+
+    /// A random disjunctive program of `families` disconnected families:
+    /// each family's rules (heads of 0–2 atoms, bodies of 0–2 positive or
+    /// negated atoms, facts) draw only on its own 0-ary atoms.
+    fn family_program(rng: &mut XorShift, families: usize) -> Program {
+        let mut p = Program::new();
+        for f in 0..families {
+            let names: Vec<String> = (0..3).map(|k| format!("f{f}a{k}")).collect();
+            for n in &names {
+                p.pred(n, 0).unwrap();
+            }
+            let pick = |rng: &mut XorShift| atom(names[rng.below(names.len())].as_str(), []);
+            for _ in 0..1 + rng.below(5) {
+                let head: Vec<_> = (0..rng.below(3)).map(|_| pick(rng)).collect();
+                let body: Vec<_> = (0..rng.below(3))
+                    .map(|_| {
+                        if rng.chance(1, 2) {
+                            pos(pick(rng))
+                        } else {
+                            neg(pick(rng))
+                        }
+                    })
+                    .collect();
+                if !head.is_empty() || !body.is_empty() {
+                    p.rule(head, body).unwrap();
+                }
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn cautious_per_component_equals_the_whole_program_intersection() {
+        let mut rng = XorShift::new(0xca07);
+        let (mut modelless, mut several) = (0, 0);
+        for round in 0..300 {
+            let families = 2 + rng.below(3);
+            let p = family_program(&mut rng, families);
+            let gp = ground(&p);
+            let want = cautious_oracle(&gp);
+            let got = cautious_consequences_cancellable(&gp, &CancelToken::never()).unwrap();
+            assert_eq!(got, want, "round {round}: {:?}", gp.rules);
+            modelless += usize::from(want.is_none());
+            several += usize::from(stable_models(&gp).len() > 1);
+        }
+        // The draws cover both contract cases: modelless programs (some
+        // component has no stable model) and programs whose components
+        // have several.
+        assert!(modelless >= 20 && several >= 20, "{modelless} / {several}");
+    }
+
+    #[test]
+    fn cautious_edge_cases() {
+        // A modelless component sinks the program, whatever the others.
+        let mut p = Program::new();
+        p.pred("a", 0).unwrap();
+        p.fact("c", []).unwrap();
+        p.rule([atom("a", [])], [neg(atom("a", []))]).unwrap();
+        assert_eq!(cautious_consequences(&ground(&p)), None);
+        // The empty program has one stable model, the empty one.
+        assert_eq!(
+            cautious_consequences(&ground(&Program::new())),
+            Some(Model::new())
+        );
+        // An empty-bodied denial has no model at all.
+        let mut p = Program::new();
+        p.fact("c", []).unwrap();
+        p.rule([], []).unwrap();
+        let gp = ground(&p);
+        assert_eq!(cautious_oracle(&gp), None);
+        assert_eq!(cautious_consequences(&gp), None);
+        // A pre-tripped token interrupts before any model is counted.
+        let mut rng = XorShift::new(7);
+        let gp = ground(&family_program(&mut rng, 3));
+        let tripped = CancelToken::new();
+        tripped.cancel();
+        match cautious_consequences_cancellable(&gp, &tripped) {
+            Err(AspError::Interrupted { partial, .. }) => assert_eq!(partial, 0),
+            other => panic!("expected Interrupted, got {other:?}"),
+        }
+    }
+
     /// A mixed program exercising disjunction, negation and facts, for
     /// the encoding and threading tests below.
     fn mixed_program() -> GroundProgram {
@@ -731,7 +841,7 @@ mod tests {
     fn tagged_encoding_matches_untagged_clause_for_clause() {
         let gp = mixed_program();
         let plain = encode(&gp);
-        let tagged = encode_tagged(&gp);
+        let tagged = encode_tagged(&gp.rules, gp.atom_count());
         assert_eq!(plain.num_vars(), tagged.cnf.num_vars());
         assert_eq!(plain.clauses, tagged.cnf.clauses);
         // Every untagged premise is None; every tagged premise is Some

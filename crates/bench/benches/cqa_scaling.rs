@@ -10,10 +10,14 @@
 //! the FK join `q(u, y) :- S(u, v), R(v, y).` against a scan of one
 //! relation. Evaluation probes the inner atom's index once per outer
 //! binding, so the join costs a small multiple of the scan, where a
-//! nested-loop join costs |S|·|R| per repair.
+//! nested-loop join costs |S|·|R| per repair. `cautious/800` answers the
+//! scan's query through the program route (ground Π(D, IC), add the query
+//! rules, cautious reasoning) with a fresh [`CqaCaches`] per iteration:
+//! the shape of the end-to-end benchmark's `fk_nulls` answer check.
 //!
-//! Every series runs against one [`CqaCaches`] bundle created outside its
-//! timed closure, so repeat calls hit the warm root scan and grounding.
+//! Every other series runs against one [`CqaCaches`] bundle created
+//! outside its timed closure, so repeat calls hit the warm root scan and
+//! grounding.
 
 use cqa_bench::harness::Harness;
 use cqa_constraints::v;
@@ -114,7 +118,8 @@ fn repair_instance_size_axis() {
 
 /// The query-evaluation axis: an index-probed FK join vs a one-relation
 /// scan, both answered by repair enumeration (the FK makes the planner
-/// enumerate) on one warm bundle.
+/// enumerate) on one warm bundle; then the scan's query through cautious
+/// reasoning on a cold bundle.
 fn query_eval() {
     let mut group = Harness::new("query_eval");
     let w = cqa_bench::example19_scaled(800, 4, 2, 41);
@@ -149,6 +154,18 @@ fn query_eval() {
             )
         });
     }
+    group.bench_with_setup("cautious/800", CqaCaches::new, |fresh| {
+        consistent_answers_via_program_governed(
+            &w.instance,
+            &w.ics,
+            &scan,
+            ProgramStyle::Corrected,
+            AnswerSemantics::IncludeNullAnswers,
+            &fresh,
+            &never,
+        )
+        .unwrap()
+    });
     group.finish();
 }
 

@@ -114,15 +114,18 @@ fn tuple_equality() {
 
 /// `Ord` on symbols: the id fast path versus the lexicographic slow path.
 ///
-/// Documents exactly when string content is still touched (ROADMAP
-/// "Interner-aware ordering"): comparing a symbol with *itself* (equal
-/// ids — the dominant case in `BTreeSet` probes of values that are
+/// Documents exactly when string content is still touched (the ordering
+/// table in `cqa_relational::symbol`): comparing a symbol with *itself*
+/// (equal ids — the dominant case in `BTreeSet` probes of values that are
 /// already present) short-circuits to `Equal` without resolving, so the
-/// `ord_eq_ids/*` series must be flat across string lengths. Comparing
-/// *distinct* symbols resolves both strings and walks their shared prefix
-/// (enumeration order is pinned to lexicographic order workspace-wide),
-/// so `ord_neq_ids/*` grows with the prefix length — the residual cost an
-/// id-ordered B-tree would remove if enumeration order were ever relaxed.
+/// `ord_eq_ids/*` series must be flat across string lengths. *Distinct*
+/// symbols are ordered by their 8-byte order prefix; these keys share
+/// every byte but their 7-byte suffix, so from `strlen_64` on the
+/// prefixes tie and the comparison resolves both strings and walks their
+/// shared prefix (enumeration order is pinned to lexicographic order
+/// workspace-wide): `ord_neq_ids/*` grows with the prefix length — the
+/// residual cost id-ordered B-trees (ROADMAP, deferred "id-ordered
+/// secondary indexes") would remove.
 fn symbol_ordering() {
     let mut group = Harness::new("symbol_ord");
     for len in LENGTHS {

@@ -113,45 +113,68 @@ fn stat_ns(json: &str, group: &str, name: &str, field: &str) -> Option<u128> {
     digits.parse().ok()
 }
 
-fn run(current_path: &str, baseline_path: &str, tolerance: f64) -> Result<(), String> {
-    let current = std::fs::read_to_string(current_path)
-        .map_err(|e| format!("cannot read {current_path}: {e}"))?;
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read {baseline_path}: {e}"))?;
-    for (group, name) in GUARDED {
-        let base_median = median_ns(&baseline, group, name)
-            .ok_or_else(|| format!("{baseline_path}: no record of {group}/{name}"))?;
-        // Slow entries run with few samples; compare their stablest
-        // statistic (the minimum) instead of a 2-of-5 order statistic.
-        let (stat, cur, base) = if base_median > SLOW_ENTRY_NS {
-            let cur = min_ns(&current, group, name)
-                .ok_or_else(|| format!("{current_path}: no record of {group}/{name}"))?;
-            let base = min_ns(&baseline, group, name)
-                .ok_or_else(|| format!("{baseline_path}: no record of {group}/{name}"))?;
-            ("min", cur, base)
-        } else {
-            let cur = median_ns(&current, group, name)
-                .ok_or_else(|| format!("{current_path}: no record of {group}/{name}"))?;
-            ("median", cur, base_median)
-        };
-        let ratio = cur as f64 / base as f64;
-        println!(
-            "{group}/{name}: current {stat} {:.3} ms vs baseline {:.3} ms ({ratio:.2}x, tolerance {tolerance:.2}x)",
-            cur as f64 / 1e6,
-            base as f64 / 1e6,
-        );
-        if ratio > tolerance {
-            return Err(format!(
-                "{group}/{name} regressed: {ratio:.2}x the committed baseline (> {tolerance:.2}x)"
-            ));
-        }
+/// Gate `current_path` against `baseline_path`: every failing row, from
+/// both tables, in table order.
+fn run(current_path: &str, baseline_path: &str, tolerance: f64) -> Result<(), Vec<String>> {
+    let read = |path: &str| {
+        std::fs::read_to_string(path).map_err(|e| vec![format!("cannot read {path}: {e}")])
+    };
+    let current = read(current_path)?;
+    let baseline = read(baseline_path)?;
+    let (current_file, baseline_file) = ((current_path, &*current), (baseline_path, &*baseline));
+    let mut failures: Vec<String> = GUARDED
+        .iter()
+        .filter_map(|&(group, name)| {
+            check_guarded(current_file, baseline_file, group, name, tolerance).err()
+        })
+        .collect();
+    failures.extend(check_ratios(&current));
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures)
     }
-    check_ratios(&current)
+}
+
+/// Compare one [`GUARDED`] series of the current file against the
+/// baseline, each given as `(path, contents)`.
+fn check_guarded(
+    (current_path, current): (&str, &str),
+    (baseline_path, baseline): (&str, &str),
+    group: &str,
+    name: &str,
+    tolerance: f64,
+) -> Result<(), String> {
+    let missing = |path: &str| format!("{path}: no record of {group}/{name}");
+    let base_median = median_ns(baseline, group, name).ok_or_else(|| missing(baseline_path))?;
+    // Slow entries run with few samples; compare their stablest
+    // statistic (the minimum) instead of a 2-of-5 order statistic.
+    let (stat, cur, base) = if base_median > SLOW_ENTRY_NS {
+        let cur = min_ns(current, group, name).ok_or_else(|| missing(current_path))?;
+        let base = min_ns(baseline, group, name).ok_or_else(|| missing(baseline_path))?;
+        ("min", cur, base)
+    } else {
+        let cur = median_ns(current, group, name).ok_or_else(|| missing(current_path))?;
+        ("median", cur, base_median)
+    };
+    let ratio = cur as f64 / base as f64;
+    println!(
+        "{group}/{name}: current {stat} {:.3} ms vs baseline {:.3} ms ({ratio:.2}x, tolerance {tolerance:.2}x)",
+        cur as f64 / 1e6,
+        base as f64 / 1e6,
+    );
+    if ratio > tolerance {
+        return Err(format!(
+            "{group}/{name} regressed: {ratio:.2}x the committed baseline (> {tolerance:.2}x)"
+        ));
+    }
+    Ok(())
 }
 
 /// Enforce every [`RATIO_GATES`] row whose two series are present in
-/// `current`.
-fn check_ratios(current: &str) -> Result<(), String> {
+/// `current`; one message per tripped row.
+fn check_ratios(current: &str) -> Vec<String> {
+    let mut failures = Vec::new();
     for &(group, num, den, cap, meaning) in RATIO_GATES {
         let (Some(n), Some(d)) = (
             median_ns(current, group, num),
@@ -162,12 +185,12 @@ fn check_ratios(current: &str) -> Result<(), String> {
         let ratio = n as f64 / d.max(1) as f64;
         println!("{group} {num} vs {den}: {ratio:.4}x (cap {cap:.3}x)");
         if ratio > cap {
-            return Err(format!(
+            failures.push(format!(
                 "{group} {num} is {ratio:.3}x {den} in the same run (> {cap:.3}x): {meaning}"
             ));
         }
     }
-    Ok(())
+    failures
 }
 
 fn main() -> ExitCode {
@@ -194,8 +217,10 @@ fn main() -> ExitCode {
             println!("bench gate OK");
             ExitCode::SUCCESS
         }
-        Err(msg) => {
-            eprintln!("bench gate FAILED: {msg}");
+        Err(failures) => {
+            for msg in &failures {
+                eprintln!("bench gate FAILED: {msg}");
+            }
             ExitCode::FAILURE
         }
     }
@@ -231,16 +256,23 @@ mod tests {
         );
     }
 
+    /// A harness line for `group` holding one record per `(name, median)`.
+    fn group_line(group: &str, records: &[(&str, u128)]) -> String {
+        let records: Vec<String> = records
+            .iter()
+            .map(|(name, ns)| {
+                format!("{{\"name\":\"{name}\",\"median_ns\":{ns},\"mean_ns\":{ns},\"min_ns\":{ns},\"samples\":7,\"iters\":1}}")
+            })
+            .collect();
+        format!(
+            "{{\"group\":\"{group}\",\"results\":[{}]}}\n",
+            records.join(",")
+        )
+    }
+
     /// A harness line for `group` holding `num` and `den` medians.
     fn ratio_line(group: &str, num: (&str, u128), den: (&str, u128)) -> String {
-        let record = |(name, ns): (&str, u128)| {
-            format!("{{\"name\":\"{name}\",\"median_ns\":{ns},\"mean_ns\":{ns},\"min_ns\":{ns},\"samples\":7,\"iters\":1}}")
-        };
-        format!(
-            "{{\"group\":\"{group}\",\"results\":[{},{}]}}\n",
-            record(num),
-            record(den)
-        )
+        group_line(group, &[num, den])
     }
 
     #[test]
@@ -250,13 +282,75 @@ mod tests {
         for &(group, num, den, cap, meaning) in RATIO_GATES {
             let at_cap = (cap * 3000.0).round() as u128;
             let line = ratio_line(group, (num, at_cap), (den, 3000));
-            assert_eq!(check_ratios(&line), Ok(()), "{group} {num} at its cap");
+            assert!(check_ratios(&line).is_empty(), "{group} {num} at its cap");
             let line = ratio_line(group, (num, at_cap + 1), (den, 3000));
-            let err = check_ratios(&line).unwrap_err();
-            assert!(err.contains(meaning), "{group} {num}: {err}");
+            let errs = check_ratios(&line);
+            assert_eq!(errs.len(), 1, "{group} {num}: {errs:?}");
+            assert!(errs[0].contains(meaning), "{group} {num}: {errs:?}");
         }
         // Absent series skip their row.
-        assert_eq!(check_ratios(SAMPLE), Ok(()));
+        assert!(check_ratios(SAMPLE).is_empty());
+    }
+
+    #[test]
+    fn every_failing_row_is_reported() {
+        // Two tripped ratio rows in one file: both are named, in table
+        // order, not just the first.
+        let tripped = ratio_line("query_eval", ("join/800", 9000), ("scan/800", 3000))
+            + &ratio_line(
+                "storage_write",
+                ("compact_incremental/20", 9000),
+                ("compact_full/20", 3000),
+            );
+        let errs = check_ratios(&tripped);
+        assert_eq!(errs.len(), 2, "{errs:?}");
+        assert!(
+            errs[0].contains("query joins no longer probe indexes"),
+            "{errs:?}"
+        );
+        assert!(
+            errs[1].contains("compaction is no longer O(changed relations)"),
+            "{errs:?}"
+        );
+
+        // `run` reports two regressed guarded series as well as both
+        // tripped rows.
+        let file = |slow: &[&str]| -> String {
+            let mut groups: Vec<&str> = GUARDED.iter().map(|(g, _)| *g).collect();
+            groups.dedup();
+            groups
+                .iter()
+                .map(|&group| {
+                    let records: Vec<(&str, u128)> = GUARDED
+                        .iter()
+                        .filter(|(g, _)| *g == group)
+                        .map(|&(_, n)| (n, if slow.contains(&n) { 2_000 } else { 1_000 }))
+                        .collect();
+                    group_line(group, &records)
+                })
+                .collect()
+        };
+        let dir = std::env::temp_dir().join(format!("bench_check_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (cur_path, base_path) = (dir.join("current.json"), dir.join("baseline.json"));
+        std::fs::write(
+            &cur_path,
+            file(&["incremental/800", "fast_path/80000"]) + &tripped,
+        )
+        .unwrap();
+        std::fs::write(&base_path, file(&[])).unwrap();
+        let errs = run(
+            cur_path.to_str().unwrap(),
+            base_path.to_str().unwrap(),
+            1.25,
+        )
+        .unwrap_err();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(errs.len(), 4, "{errs:?}");
+        assert!(errs[0].starts_with("repair_instance_size_axis/incremental/800 regressed"));
+        assert!(errs[1].starts_with("fast_path/fast_path/80000 regressed"));
+        assert!(errs[2].contains("query joins no longer probe indexes"));
+        assert!(errs[3].contains("compaction is no longer O(changed relations)"));
     }
 
     #[test]

@@ -4,12 +4,17 @@
 //! Two engines, which must agree (and are tested against each other):
 //!
 //! * [`consistent_answers`] — plan first ([`crate::plan`]), else
-//!   materialise the repairs with the decision engine and intersect the
-//!   query answers ([`consistent_answers_enumerated`] skips the planner);
+//!   enumerate the repairs with the decision engine and intersect the
+//!   query answers ([`consistent_answers_enumerated`] skips the planner).
+//!   The engine hands each repair out as Δ(D, repair); each evaluation
+//!   worker applies a Δ to its one working copy of D, evaluates and
+//!   reverts, so no repair is materialised or sorted;
 //! * [`consistent_answers_via_program`] — append query rules over the
 //!   `t**` predicates to Π(D, IC) and take the cautious consequences of
 //!   the stable models (the paper's Section 5 pipeline; Theorem 4 makes
-//!   the two coincide for RIC-acyclic sets).
+//!   the two coincide for RIC-acyclic sets). Cautious reasoning runs per
+//!   program component ([`cqa_asp::cautious_consequences_cancellable`]),
+//!   never over whole-program models.
 //!
 //! Each operation has two spellings: the one-shot form builds a fresh
 //! [`CqaCaches`] bundle and runs without a deadline; the `*_governed`
@@ -17,7 +22,7 @@
 //! `Database` facade passes.
 
 use crate::cache::CqaCaches;
-use crate::engine::{repairs_with_config_governed, RepairConfig, SearchStrategy};
+use crate::engine::{minimal_repair_deltas, RepairConfig};
 use crate::error::{CoreError, InterruptPhase};
 use crate::program::{annotated, ProgramStyle};
 use crate::query::{AnswerSemantics, QTerm, Query, QueryNullSemantics};
@@ -81,12 +86,13 @@ pub fn consistent_answers(
 
 /// [`consistent_answers`] against the caller's cache bundle and under a
 /// cancellation token: the repair search polls it per node, and the
-/// per-repair evaluation loop polls it per repair (serial and chunked
-/// alike). Under [`SearchStrategy::Parallel`] the per-repair query
-/// evaluation and intersection fan out over the same worker count as the
-/// repair search (chunked evaluation, then an ordered intersection of the
-/// chunk results); a cross-chunk flag stops all workers once any partial
-/// intersection is empty. An interrupt in evaluation surfaces as
+/// per-repair evaluation loop polls it per repair, between evaluations
+/// (serial and chunked alike). Under
+/// [`SearchStrategy::Parallel`](crate::SearchStrategy::Parallel) the
+/// per-repair query evaluation and intersection fan out over the same
+/// worker count as the repair search (chunked evaluation, then an ordered
+/// intersection of the chunk results); a cross-chunk flag stops all
+/// workers once any partial intersection is empty. An interrupt in evaluation surfaces as
 /// [`CoreError::Interrupted`] with `phase = QueryEvaluation` and
 /// `partial` counting the repairs whose answers were fully intersected —
 /// the running intersection itself is not returned, since it only
@@ -163,7 +169,9 @@ pub fn consistent_answers_enumerated(
 /// [`consistent_answers_enumerated`] against the caller's cache bundle
 /// and under a cancellation token — the repair-enumeration body that
 /// [`consistent_answers_governed`] falls through to when the planner
-/// declines.
+/// declines. Repairs are evaluated as D + Δ on one working copy per
+/// worker, in the engine's discovery order; the intersection does not
+/// depend on that order.
 #[allow(clippy::too_many_arguments)]
 pub fn consistent_answers_enumerated_governed(
     d: &Instance,
@@ -175,22 +183,26 @@ pub fn consistent_answers_enumerated_governed(
     caches: &CqaCaches,
     cancel: &CancelToken,
 ) -> Result<AnswerSet, CoreError> {
-    let repairs = repairs_with_config_governed(d, ics, config, caches, cancel)?;
-    let threads = match config.strategy {
-        SearchStrategy::Parallel { threads } => threads,
-        _ => 1,
-    };
+    let repairs = minimal_repair_deltas(d, ics, config, caches, cancel)?;
     let evaluated = AtomicUsize::new(0);
     let empty = AtomicBool::new(false);
     // One loop for every thread count: with one worker, `map_chunks`
     // runs its single chunk inline.
-    let chunks = crate::parallel::map_chunks(repairs.len(), threads, |range| {
+    let chunks = crate::parallel::map_chunks(repairs.len(), config.strategy.threads(), |range| {
+        // The worker's working copy: each repair is D + Δ for the span of
+        // one evaluation. The first `apply_delta` copies the relations Δ
+        // touches (they are shared with `d` until then), later ones
+        // mutate in place, and the inner-atom indexes the evaluator
+        // registers are maintained across the worker's repairs.
+        let mut work = d.clone();
         let mut local: Option<BTreeSet<Tuple>> = None;
-        for repair in &repairs[range] {
+        for (delta, _) in &repairs[range] {
             if empty.load(Ordering::Relaxed) || cancel.is_cancelled() {
                 break;
             }
-            let answers = query.eval_with(repair, query_semantics);
+            work.apply_delta(delta);
+            let answers = query.eval_with(&work, query_semantics);
+            work.revert_delta(delta);
             evaluated.fetch_add(1, Ordering::Relaxed);
             local = Some(match local {
                 None => answers,
@@ -657,6 +669,85 @@ mod tests {
         )
         .unwrap();
         assert!(sql_mode.is_empty()); // null = null is unknown in SQL
+    }
+
+    #[test]
+    fn a_trip_during_evaluation_reports_the_repairs_intersected() {
+        // 3 key conflicts give 8 repairs; a 3-way self-join of R on its
+        // value column (40³ answers) makes each evaluation outlast the
+        // search, so a deadline lands in evaluation.
+        use crate::engine::{repairs, SearchStrategy};
+        use crate::error::InterruptPhase;
+        let sc = Schema::builder()
+            .relation("R", ["k", "v"])
+            .finish()
+            .unwrap()
+            .into_shared();
+        let mut d = Instance::empty(sc.clone());
+        for k in 0..40 {
+            d.insert_named("R", [Value::Int(k), s("a")]).unwrap();
+        }
+        for k in 0..3 {
+            d.insert_named("R", [Value::Int(k), s("b")]).unwrap();
+        }
+        let ics = IcSet::new([builders::functional_dependency(&sc, "R", &[0], 1)
+            .unwrap()
+            .into()]);
+        let q: Query = ConjunctiveQuery::builder(&sc, "q", ["x", "y", "z"])
+            .atom("R", [qv("x"), qv("u")])
+            .atom("R", [qv("y"), qv("u")])
+            .atom("R", [qv("z"), qv("u")])
+            .finish()
+            .unwrap()
+            .into();
+        let count = repairs(&d, &ics, RepairConfig::default()).unwrap().len();
+        assert_eq!(count, 8);
+        for strategy in [
+            SearchStrategy::Incremental,
+            SearchStrategy::Parallel { threads: 4 },
+        ] {
+            let config = RepairConfig {
+                strategy,
+                ..RepairConfig::default()
+            };
+            // Double the deadline until one passes the search; the first
+            // such deadline trips during evaluation.
+            let mut tripped_in_evaluation = false;
+            for ms in (0..10).map(|k| 1u64 << k) {
+                let token = CancelToken::with_timeout(std::time::Duration::from_millis(ms));
+                match consistent_answers_enumerated_governed(
+                    &d,
+                    &ics,
+                    &q,
+                    config,
+                    AnswerSemantics::IncludeNullAnswers,
+                    QueryNullSemantics::NullAsValue,
+                    &CqaCaches::new(),
+                    &token,
+                ) {
+                    Err(CoreError::Interrupted {
+                        phase: InterruptPhase::RepairSearch,
+                        ..
+                    }) => continue,
+                    Err(CoreError::Interrupted {
+                        phase: InterruptPhase::QueryEvaluation,
+                        partial,
+                    }) => {
+                        assert!(
+                            partial < count,
+                            "{strategy:?}: partial {partial} of {count}"
+                        );
+                        tripped_in_evaluation = true;
+                        break;
+                    }
+                    other => panic!("{strategy:?}, {ms} ms: {other:?}"),
+                }
+            }
+            assert!(
+                tripped_in_evaluation,
+                "{strategy:?}: no deadline hit evaluation"
+            );
+        }
     }
 
     #[test]

@@ -50,7 +50,15 @@
 //! so candidate de-duplication and `≤_D`-minimisation
 //! ([`crate::repair::minimal_delta_indices`]) compare symmetric
 //! differences in O(Δ) per pair instead of recomputing Δ against — or
-//! comparing — full instances.
+//! comparing — full instances. The pipeline ends in one crate-internal
+//! call that hands out the repairs *as Δs*, in discovery order:
+//!
+//! * [`repairs`] and its siblings materialise each repair (base + Δ) and
+//!   sort by atom list — the public, pinned order;
+//! * enumeration CQA ([`crate::cqa`]) never materialises: each worker
+//!   applies a Δ to one working copy of D, evaluates the query and reverts
+//!   the Δ, so a read costs the search plus one evaluation per repair, not
+//!   a copy and an atom-list sort per repair.
 //!
 //! ## Parallel search architecture
 //!
@@ -75,13 +83,14 @@
 //! * **Deterministic join.** Fixpoints publish `(path, Δ, trace)` into a
 //!   shared collector. After the pool drains, candidates are sorted by
 //!   path — lexicographic path order *is* sequential depth-first discovery
-//!   order — so de-duplication, `≤_D`-minimisation and materialisation see
-//!   the exact candidate sequence the sequential strategy produces,
-//!   and the final repair list is byte-identical at every thread count
-//!   (the property suite and the 50-run scheduling stress test pin this).
-//! * **Parallel materialisation.** Surviving repairs are materialised
-//!   (base + Δ) and sort-keyed across the same worker count, then merged
-//!   in pinned order.
+//!   order — so de-duplication and `≤_D`-minimisation see the exact
+//!   candidate sequence the sequential strategy produces, the minimal Δs
+//!   come out in the same order, and the final repair list is
+//!   byte-identical at every thread count (the property suite and the
+//!   50-run scheduling stress test pin this).
+//! * **Parallel post-search work.** Minimisation, materialisation
+//!   (base + Δ, sort-keyed, then merged in pinned order) and enumeration
+//!   CQA's per-repair evaluation fan out over the same worker count.
 //!
 //! The root violation scan — the one remaining O(instance) step — is
 //! cached across `repairs*` calls keyed by [`Instance::version`] and the
@@ -130,6 +139,18 @@ pub enum SearchStrategy {
         /// Worker-thread count.
         threads: usize,
     },
+}
+
+impl SearchStrategy {
+    /// Worker count: 1 for the sequential search, `threads` (at least 1)
+    /// for the pool. Post-search work (minimisation, materialisation,
+    /// per-repair evaluation) fans out over the same count.
+    pub(crate) fn threads(self) -> usize {
+        match self {
+            SearchStrategy::Incremental => 1,
+            SearchStrategy::Parallel { threads } => threads.max(1),
+        }
+    }
 }
 
 /// Search configuration.
@@ -240,16 +261,39 @@ pub fn repairs_with_trace_governed(
     caches: &CqaCaches,
     cancel: &CancelToken,
 ) -> Result<Vec<TracedRepair>, CoreError> {
+    let minimal = minimal_repair_deltas(d, ics, config, caches, cancel)?;
+    Ok(materialise(d, &minimal, config.strategy.threads()))
+}
+
+/// The repairs of `d` as Δ(D, repair), each with the trace that first
+/// found it: the search's candidates deduplicated and `≤_D`-minimised, in
+/// sequential depth-first discovery order at every thread count. Nothing
+/// is materialised, so callers that only need each repair's answers
+/// (enumeration CQA) apply each Δ to one working copy of `d` instead of
+/// building an instance per repair.
+///
+/// The search's candidates arrive in discovery order (the parallel
+/// scheduler sorts by branch path, which is the same order), so the trace
+/// kept for a duplicated delta — the first-found one — is identical
+/// across all strategies. Deduplication is by decision delta — against
+/// one base, equal deltas mean equal instances — and the search tracked
+/// each candidate's delta, so neither deduplication nor minimisation ever
+/// recomputes Δ(D, candidate) against the full instance: both are O(Δ)
+/// per comparison.
+pub(crate) fn minimal_repair_deltas(
+    d: &Instance,
+    ics: &IcSet,
+    config: RepairConfig,
+    caches: &CqaCaches,
+    cancel: &CancelToken,
+) -> Result<Vec<(Delta, Vec<RepairStep>)>, CoreError> {
     if config.semantics == RepairSemantics::NullBased && !ics.is_non_conflicting() {
         return Err(CoreError::ConflictingConstraints(ics.conflicting_pairs()));
     }
-    let (candidates, threads) = match config.strategy {
-        SearchStrategy::Parallel { threads } => {
-            let threads = threads.max(1);
-            (
-                crate::parallel::search(d, ics, config, threads, caches, cancel)?,
-                threads,
-            )
+    let threads = config.strategy.threads();
+    let candidates = match config.strategy {
+        SearchStrategy::Parallel { .. } => {
+            crate::parallel::search(d, ics, config, threads, caches, cancel)?
         }
         SearchStrategy::Incremental => {
             let mut search = Search {
@@ -262,33 +306,9 @@ pub fn repairs_with_trace_governed(
             let mut work = d.clone();
             let worklist = caches.worklist.root_worklist(&work, ics);
             search.run_incremental(&mut work, worklist, &mut BTreeMap::new(), &mut Vec::new())?;
-            (search.candidates, 1)
+            search.candidates
         }
     };
-    Ok(finish_candidates(d, candidates, threads))
-}
-
-/// The shared post-search pipeline: deduplicate fixpoint candidates,
-/// `≤_D`-minimise, materialise the survivors and pin the output order.
-///
-/// `candidates` must arrive in sequential depth-first discovery order (the
-/// parallel scheduler sorts by branch path before calling, which is the
-/// same order), so the trace kept for a duplicated delta — the first-found
-/// one — is identical across all strategies.
-///
-/// Deduplication is by decision delta — against one base, equal deltas
-/// mean equal instances. The search tracked each candidate's delta, so
-/// neither deduplication nor minimisation ever recomputes Δ(D, candidate)
-/// against the full instance: both are O(Δ) per comparison. Only the
-/// `≤_D`-minimal survivors are materialised (base + Δ), fanned out over
-/// `threads` workers when the parallel strategy is active — non-minimal
-/// candidates never touch the instance, and the search itself never
-/// snapshots one.
-fn finish_candidates(
-    d: &Instance,
-    candidates: Vec<(Delta, Vec<RepairStep>)>,
-    threads: usize,
-) -> Vec<TracedRepair> {
     let mut unique: Vec<(Delta, Vec<RepairStep>)> = Vec::new();
     let mut seen: BTreeSet<Delta> = BTreeSet::new();
     for (delta, steps) in candidates {
@@ -298,36 +318,40 @@ fn finish_candidates(
     }
     let deltas: Vec<Delta> = unique.iter().map(|(dl, _)| dl.clone()).collect();
     let keep = minimal_delta_indices_chunked(&deltas, threads);
-    let mut keyed = materialise(d, &unique, &keep, threads);
-    // Deterministic order: by atom list. Distinct repairs have distinct
-    // atom lists (equal-delta candidates were deduplicated), so the order
-    // is total regardless of how the keyed pairs were produced.
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    keyed.into_iter().map(|(_, repair)| repair).collect()
+    let mut keep = keep.into_iter().peekable();
+    Ok(unique
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| keep.next_if_eq(i).is_some())
+        .map(|(_, candidate)| candidate)
+        .collect())
 }
 
-/// Materialise the kept candidates (base + Δ) together with their sort
-/// keys, chunked across `threads` scoped workers when it pays: with
-/// hundreds of surviving repairs over a large base, the copy-on-write
-/// `apply_delta` per survivor is the dominant serial tail of the parallel
-/// strategy.
+/// Materialise the minimal repairs (base + Δ) and pin the public order:
+/// by atom list. Distinct repairs have distinct atom lists (equal-delta
+/// candidates were deduplicated), so the order is total regardless of how
+/// the keyed pairs were produced. The copy-on-write `apply_delta` per
+/// repair is fanned out over `threads` scoped workers when the parallel
+/// strategy is active: with hundreds of repairs over a large base it is
+/// the dominant serial tail.
 fn materialise(
     d: &Instance,
-    unique: &[(Delta, Vec<RepairStep>)],
-    keep: &[usize],
+    minimal: &[(Delta, Vec<RepairStep>)],
     threads: usize,
-) -> Vec<(Vec<DatabaseAtom>, TracedRepair)> {
-    crate::parallel::chunked_map(keep.len(), threads, |k| {
-        let i = keep[k];
+) -> Vec<TracedRepair> {
+    let mut keyed = crate::parallel::chunked_map(minimal.len(), threads, |i| {
+        let (delta, steps) = &minimal[i];
         let mut instance = d.clone();
-        instance.apply_delta(&unique[i].0);
+        instance.apply_delta(delta);
         let key: Vec<DatabaseAtom> = instance.atoms().collect();
         let repair = TracedRepair {
             instance,
-            steps: unique[i].1.clone(),
+            steps: steps.clone(),
         };
         (key, repair)
-    })
+    });
+    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+    keyed.into_iter().map(|(_, repair)| repair).collect()
 }
 
 /// The symmetric difference a decision set denotes: decisions never flip

@@ -14,10 +14,10 @@
 //! ## Evaluation
 //!
 //! Every answer route ends here: enumeration evaluates the query in each
-//! repair, FO-rewrite and the chase enumerate the candidate bindings of
-//! its positive body on the inconsistent instance. Evaluation is an
-//! *index nested-loop join* over the positive atoms, in the query's atom
-//! order:
+//! repair (D + Δ on a working copy), FO-rewrite and the chase enumerate
+//! the candidate bindings of its positive body on the inconsistent
+//! instance. Evaluation is an *index nested-loop join* over the positive
+//! atoms, in the query's atom order:
 //!
 //! * an atom with bound columns (constants, or variables an earlier atom
 //!   bound) lists its candidates by probing the index of exactly those
@@ -33,10 +33,15 @@
 //! Which indexes get built follows the rule in [`cqa_relational::index`]:
 //! over the caller's instance (the fast paths) every probed index is built
 //! on first use and kept; [`Query::eval_with`], which also runs over
-//! instances made for one call (enumeration's repairs), builds an index
-//! only for an inner atom, probed once per outer binding, and scans a
-//! root atom unless its index is already registered. Buckets iterate in
-//! tuple order, so matches come out in the order a scan finds them.
+//! instances made for one call (enumeration's working copies), builds an
+//! index only for an inner atom, probed once per outer binding, and scans
+//! a root atom unless its index is already registered. Buckets iterate in
+//! tuple order, so matches come out in the order a scan finds them. A
+//! working copy keeps the inner-atom indexes across the repairs it
+//! serves: applying and reverting a Δ maintains them.
+//!
+//! Answers are collected and each answer set is built in one pass (one
+//! sort, then a bulk B-tree build), not by one insert per answer.
 
 use crate::error::CoreError;
 use cqa_constraints::{c, v, CmpOp, TermSpec};
@@ -164,7 +169,13 @@ impl ConjunctiveQuery {
         instance: &Instance,
         mode: QueryNullSemantics,
     ) -> std::collections::BTreeSet<Tuple> {
-        let mut out = std::collections::BTreeSet::new();
+        let mut out = Vec::new();
+        self.answers_into(instance, mode, &mut out);
+        out.into_iter().collect()
+    }
+
+    /// Push every answer, duplicates included, onto `out`.
+    fn answers_into(&self, instance: &Instance, mode: QueryNullSemantics, out: &mut Vec<Tuple>) {
         let join = Join {
             cq: self,
             instance,
@@ -185,10 +196,9 @@ impl ConjunctiveQuery {
                 .iter()
                 .map(|v| bindings[*v as usize].expect("safe head var"))
                 .collect();
-            out.insert(answer);
+            out.push(answer);
             true
         });
-        out
     }
 
     /// Enumerate every binding of the *positive* body (builtins applied,
@@ -420,11 +430,11 @@ impl Query {
         instance: &Instance,
         mode: QueryNullSemantics,
     ) -> std::collections::BTreeSet<Tuple> {
-        let mut out = std::collections::BTreeSet::new();
+        let mut out = Vec::new();
         for d in &self.disjuncts {
-            out.extend(d.eval_with(instance, mode));
+            d.answers_into(instance, mode, &mut out);
         }
-        out
+        out.into_iter().collect()
     }
 }
 

@@ -11,47 +11,59 @@
 //!   or 3000 bytes long (pinned by the `value_probe` bench group).
 //! * **Ordering stays lexicographic.** The repair machinery iterates
 //!   `BTreeSet`s everywhere and the whole test suite pins enumeration
-//!   order to string order, so `Ord` resolves and compares the underlying
-//!   text — with an id fast path for the (dominant) equal case. Total
-//!   order consistency with `Eq` holds because the interner never assigns
-//!   two ids to one string.
+//!   order to string order, so `Ord` is exactly `str` order. Total order
+//!   consistency with `Eq` holds because the interner never assigns two
+//!   ids to one string.
 //!
-//!   When does a comparison still touch string content? The ordering
-//!   table (pinned by the `symbol_ord` micro-benchmark):
+//!   Each symbol carries an *order prefix*: its first 8 bytes, read as a
+//!   big-endian integer, zero-padded past the end of a shorter string.
+//!   Two prefixes that differ order their strings the way `str` does —
+//!   the first differing byte decides, and a padded zero sorts below any
+//!   real byte it meets, exactly as a shorter string sorts before its
+//!   extensions. Only a tie (equal first 8 bytes, or a shorter string
+//!   whose padding meets NUL bytes) falls back to the text. When does a
+//!   comparison still touch string content? The ordering table (pinned by
+//!   the `symbol_ord` micro-benchmark):
 //!
-//!   | case                | cost                                    |
-//!   |---------------------|-----------------------------------------|
-//!   | equal ids           | one `u32` compare — no resolve, flat    |
-//!   | distinct ids        | two lock-free resolves + prefix walk    |
+//!   | case                            | cost                                  |
+//!   |---------------------------------|---------------------------------------|
+//!   | equal ids                       | one `u32` compare — no table access   |
+//!   | distinct ids, prefixes differ   | two lock-free prefix loads + one `u64` compare |
+//!   | distinct ids, prefixes tie      | the above + two lock-free resolves + a walk of the shared bytes |
 //!
 //!   Equal ids dominate B-tree *probes* (searching for a value that is
-//!   present ends on the equal fast path), so membership-heavy paths pay
-//!   almost nothing; B-tree *descent* and range iteration compare
-//!   distinct ids and still walk shared prefixes. If enumeration order
-//!   were ever relaxed, id-ordered B-trees would drop those last string
-//!   touches from the search inner loops (ROADMAP "Interner-aware
-//!   ordering") — until then, lexicographic order is part of the
-//!   workspace's observable semantics and this is a deliberate cost.
+//!   present ends on the equal fast path), and distinct constants of
+//!   realistic data usually differ within their first 8 bytes, so
+//!   relations, index buckets, grounder maps and Δ/answer sets rarely
+//!   read string bytes. Constants that share a long common prefix still
+//!   walk it. Id-ordered B-trees would drop even those touches (ROADMAP,
+//!   deferred "id-ordered secondary indexes") — as long as enumeration
+//!   order is pinned to string order, lexicographic order is part of the
+//!   workspace's observable semantics and this residual is a deliberate
+//!   cost.
 //!
 //! Layout: lookups go through `SHARD_COUNT` independently locked
 //! `str → Symbol` maps (the write path is only taken the *first* time a
-//! string is seen); resolution goes through a lock-free chunked table of
-//! `&'static str` entries published with release stores, so `Symbol::
-//! as_str` in comparison loops never touches a lock. Interned strings are
-//! intentionally leaked: the table is global, append-only and lives for
-//! the whole process, exactly like the symbol tables of the
-//! dictionary-encoded CQA evaluators this design follows.
+//! string is seen); comparison and resolution go through a lock-free
+//! chunked table whose slots hold each string's order prefix beside a
+//! pointer to its text, both published with release stores before the id
+//! becomes observable, so `Symbol::cmp` and `Symbol::as_str` never touch
+//! a lock. Interned strings are intentionally leaked: the table is
+//! global, append-only and lives for the whole process, exactly like the
+//! symbol tables of the dictionary-encoded CQA evaluators this design
+//! follows.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
 
 /// An interned string constant: a dense id into the global symbol table.
 ///
-/// `Eq`/`Hash` are id comparisons; `Ord` is lexicographic on the resolved
-/// text (equal ids short-circuit to `Equal` without resolving).
+/// `Eq`/`Hash` are id comparisons; `Ord` is exactly `str` order on the
+/// text, decided by the 8-byte order prefix unless two prefixes tie
+/// (equal ids short-circuit to `Equal` without touching the table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
@@ -85,7 +97,12 @@ impl Ord for Symbol {
         if self.0 == other.0 {
             return std::cmp::Ordering::Equal;
         }
-        self.as_str().cmp(other.as_str())
+        let table = interner();
+        let (a, b) = (table.slot(*self), table.slot(*other));
+        match a.prefix().cmp(&b.prefix()) {
+            std::cmp::Ordering::Equal => a.text().cmp(b.text()),
+            decided => decided,
+        }
     }
 }
 
@@ -103,9 +120,42 @@ const CHUNK_SIZE: usize = 1 << 12;
 /// Maximum number of chunks (caps the table at ~16.7M symbols).
 const MAX_CHUNKS: usize = 1 << 12;
 
-/// Entries hold thin pointers to leaked `String`s (a fat `*mut str`
-/// cannot be stored atomically).
-type Chunk = [AtomicPtr<String>; CHUNK_SIZE];
+/// One resolution slot: a string's order prefix beside a thin pointer to
+/// its leaked `String` (a fat `*mut str` cannot be stored atomically).
+/// Both are written once, before the id is published, and never change.
+struct Slot {
+    prefix: AtomicU64,
+    text: AtomicPtr<String>,
+}
+
+impl Slot {
+    /// The order prefix (see the module docs).
+    fn prefix(&self) -> u64 {
+        // Acquire pairs with the Release store in `Interner::intern`.
+        self.prefix.load(Ordering::Acquire)
+    }
+
+    fn text(&self) -> &'static str {
+        // Acquire pairs with the Release store in `Interner::intern`, so
+        // the leaked `String` it points to is fully written.
+        let entry = self.text.load(Ordering::Acquire);
+        assert!(!entry.is_null(), "resolve of unknown symbol");
+        // SAFETY: a non-null entry points to a `String` leaked by
+        // `Interner::intern` (never freed, never mutated after the store).
+        unsafe { (*entry).as_str() }
+    }
+}
+
+/// The first 8 bytes of `text` as a big-endian integer, zero-padded:
+/// distinct prefixes order their strings exactly as `str::cmp` does.
+fn order_prefix(text: &str) -> u64 {
+    let mut bytes = [0u8; 8];
+    let n = text.len().min(8);
+    bytes[..n].copy_from_slice(&text.as_bytes()[..n]);
+    u64::from_be_bytes(bytes)
+}
+
+type Chunk = [Slot; CHUNK_SIZE];
 
 struct Interner {
     /// `str → Symbol` lookup, sharded by string hash. Only interning of a
@@ -113,9 +163,9 @@ struct Interner {
     shards: [RwLock<HashMap<&'static str, Symbol>>; SHARD_COUNT],
     /// Append lock: serialises id allocation and chunk creation.
     append: Mutex<u32>,
-    /// Resolution table: chunked array of leaked string pointers,
-    /// published with release stores and read with acquire loads — no
-    /// lock on the resolve path.
+    /// Resolution table: chunked array of slots (order prefix + leaked
+    /// string pointer), published with release stores and read with
+    /// acquire loads — no lock on the compare or resolve path.
     chunks: Box<[AtomicPtr<Chunk>]>,
 }
 
@@ -154,28 +204,40 @@ impl Interner {
         assert!(chunk_ix < MAX_CHUNKS, "symbol table full");
         let mut chunk = self.chunks[chunk_ix].load(Ordering::Acquire);
         if chunk.is_null() {
-            let fresh: Box<Chunk> =
-                Box::new(std::array::from_fn(
-                    |_| AtomicPtr::new(std::ptr::null_mut()),
-                ));
+            let fresh: Box<Chunk> = Box::new(std::array::from_fn(|_| Slot {
+                prefix: AtomicU64::new(0),
+                text: AtomicPtr::new(std::ptr::null_mut()),
+            }));
             chunk = Box::into_raw(fresh);
             self.chunks[chunk_ix].store(chunk, Ordering::Release);
         }
-        // Publish the entry before the id becomes observable.
-        unsafe { &(*chunk)[slot] }.store(leaked as *mut String, Ordering::Release);
+        // SAFETY: `chunk` is non-null and came from `Box::into_raw` above
+        // or in an earlier call; chunks are never freed, so the reference
+        // is valid for the process lifetime.
+        let entry = unsafe { &(*chunk)[slot] };
+        // Publish prefix and text before the id becomes observable.
+        entry
+            .prefix
+            .store(order_prefix(leaked.as_str()), Ordering::Release);
+        entry.text.store(leaked as *mut String, Ordering::Release);
         *next = id.checked_add(1).expect("symbol ids exhausted");
         drop(next);
         map.insert(leaked.as_str(), Symbol(id));
         Symbol(id)
     }
 
-    fn resolve(&self, sym: Symbol) -> &'static str {
+    /// The slot of an interned symbol.
+    fn slot(&self, sym: Symbol) -> &'static Slot {
         let (chunk_ix, slot) = (sym.0 as usize / CHUNK_SIZE, sym.0 as usize % CHUNK_SIZE);
         let chunk = self.chunks[chunk_ix].load(Ordering::Acquire);
         assert!(!chunk.is_null(), "resolve of unknown symbol");
-        let entry = unsafe { &(*chunk)[slot] }.load(Ordering::Acquire);
-        assert!(!entry.is_null(), "resolve of unknown symbol");
-        unsafe { (*entry).as_str() }
+        // SAFETY: a non-null chunk pointer came from `Box::into_raw` in
+        // `intern` and is never freed; `slot < CHUNK_SIZE` by construction.
+        unsafe { &(*chunk)[slot] }
+    }
+
+    fn resolve(&self, sym: Symbol) -> &'static str {
+        self.slot(sym).text()
     }
 }
 
@@ -220,31 +282,121 @@ mod tests {
         assert_eq!(sym.as_str(), long);
     }
 
-    #[test]
-    fn concurrent_interning_agrees() {
-        let handles: Vec<_> = (0..8)
-            .map(|t| {
-                std::thread::spawn(move || {
-                    (0..200)
-                        .map(|i| Symbol::intern(&format!("concurrent-{}", (i + t) % 100)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let results: Vec<Vec<Symbol>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for syms in &results {
-            for s in syms {
-                assert!(s.as_str().starts_with("concurrent-"));
+    /// Strings that stress the order prefix: the empty string, NUL bytes
+    /// (which the prefix's zero padding must not confuse with the end of
+    /// a shorter string), multi-byte UTF-8, shared prefixes of 0–16 bytes,
+    /// and equal first 8 bytes with different lengths.
+    fn prefix_corpus(tag: &str) -> Vec<String> {
+        let mut out: Vec<String> = vec![
+            String::new(),
+            "\0".into(),
+            "\0\0".into(),
+            "\0a".into(),
+            "a".into(),
+            "a\0".into(),
+            "a\0\0\0\0\0\0\0".into(),
+            "a\0\0\0\0\0\0\0\0".into(),
+            "a\0\0\0\0\0\0\0b".into(),
+            "\u{7f}".into(),
+            "é".into(),
+            "éa".into(),
+            "ü\0".into(),
+            "日本".into(),
+            "日本語".into(),
+            "\u{10FFFF}".into(),
+            "\u{FFFF}x".into(),
+        ];
+        let stems = ["", "k", "ab", "abcdefg", "abcdefgh", "abcdefghij", "é日"];
+        let tails = ["", "\0", "a", "b", "é", "zz", "\0\0z"];
+        for len in 0..=16 {
+            let shared: String = format!("{tag}{}", "p".repeat(len));
+            for t in tails {
+                out.push(format!("{shared}{t}"));
             }
         }
-        // Same string always resolves to the same id across threads.
-        let again = Symbol::intern("concurrent-0");
-        for syms in &results {
-            for s in syms {
-                if s.as_str() == "concurrent-0" {
-                    assert_eq!(*s, again);
+        for stem in stems {
+            for t in tails {
+                out.push(format!("{stem}{t}"));
+                out.push(format!("{stem}{stem}{t}"));
+            }
+        }
+        // Equal first 8 bytes, lengths 8..=20.
+        for len in 8..=20 {
+            out.push(format!("{:q<len$}", "eightbyt"));
+        }
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn prefix_order_equals_str_order() {
+        use crate::testing::XorShift;
+        for seed in 1..=4u64 {
+            let mut corpus = prefix_corpus(&format!("pfx{seed}"));
+            // Shuffle, so interning order is unrelated to string order.
+            let mut rng = XorShift::new(seed);
+            for i in (1..corpus.len()).rev() {
+                corpus.swap(i, rng.below(i + 1));
+            }
+            let syms: Vec<Symbol> = corpus.iter().map(|t| Symbol::intern(t)).collect();
+            for (a, ta) in syms.iter().zip(&corpus) {
+                assert_eq!(a.as_str(), ta);
+                for (b, tb) in syms.iter().zip(&corpus) {
+                    assert_eq!(
+                        a.cmp(b),
+                        ta.as_str().cmp(tb),
+                        "seed {seed}: {ta:?} vs {tb:?}"
+                    );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn concurrent_interning_agrees() {
+        // Every thread interns the same strings, each in its own rotation,
+        // released together by a barrier so the interning races.
+        const THREADS: usize = 8;
+        let corpus = prefix_corpus("concurrent-");
+        let barrier = std::sync::Barrier::new(THREADS);
+        let results: Vec<Vec<Symbol>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (corpus, barrier) = (&corpus, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let n = corpus.len();
+                        (0..n)
+                            .map(|i| Symbol::intern(&corpus[(i + t * 7) % n]))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // Same string always resolves to the same id across threads.
+        let again: Vec<Symbol> = corpus.iter().map(|t| Symbol::intern(t)).collect();
+        for (t, syms) in results.iter().enumerate() {
+            let n = corpus.len();
+            for (i, s) in syms.iter().enumerate() {
+                assert_eq!(*s, again[(i + t * 7) % n]);
+                assert_eq!(s.as_str(), corpus[(i + t * 7) % n]);
+            }
+        }
+        // Symbols interned on different threads order as their text, and
+        // every thread's symbols sort into the same (string) order.
+        for (ta, a) in results[0].iter().zip(&results[THREADS - 1]) {
+            for b in &results[1] {
+                assert_eq!(ta.cmp(b), ta.as_str().cmp(b.as_str()));
+                assert_eq!(a.cmp(b), a.as_str().cmp(b.as_str()));
+            }
+        }
+        for syms in &results {
+            let mut sorted = syms.clone();
+            sorted.sort();
+            let texts: Vec<&str> = sorted.iter().map(|s| s.as_str()).collect();
+            assert_eq!(texts, corpus.iter().map(String::as_str).collect::<Vec<_>>());
         }
     }
 }

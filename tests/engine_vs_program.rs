@@ -10,16 +10,22 @@
 //! ground program equal — as a set of atom-level rules — to grounding the
 //! grown program from scratch. Randomness is the workspace's
 //! deterministic [`XorShift`].
+//!
+//! And it pins **Δ-based enumeration CQA**: evaluating each repair as
+//! D + Δ on one working copy must answer exactly what materialising every
+//! repair and intersecting its answers does.
 
 use cqa::asp::{ground, GroundingState};
-use cqa::constraints::{builders, graph, v, Constraint, Ic, IcSet};
-use cqa::core::query::AnswerSemantics;
+use cqa::constraints::{builders, graph, v, CmpOp, Constraint, Ic, IcSet};
+use cqa::core::query::{qc, AnswerSemantics};
 use cqa::core::{
-    consistent_answers, consistent_answers_via_program, repair_program, repairs,
-    repairs_via_program, ConjunctiveQuery, ProgramStyle, Query, RepairConfig, SearchStrategy,
+    consistent_answers, consistent_answers_enumerated_governed, consistent_answers_via_program,
+    repair_program, repairs, repairs_via_program, AnswerSet, ConjunctiveQuery, CqaCaches,
+    ProgramStyle, Query, RepairConfig, SearchStrategy,
 };
 use cqa::prelude::*;
 use cqa::relational::testing::{env_threads, XorShift};
+use cqa::relational::CancelToken;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -214,6 +220,132 @@ fn parallel_intersection_matches_serial_across_semantics() {
             }
         }
     }
+}
+
+/// Queries over the pool's schema: projection, joins, a null constant,
+/// negation, builtins, a boolean query and unions.
+fn query_pool(sc: &Schema) -> Vec<Query> {
+    let cq = |name: &str, head: &[&str]| ConjunctiveQuery::builder(sc, name, head.to_vec());
+    let finish = |b: cqa::core::QueryBuilder<'_>| -> ConjunctiveQuery { b.finish().unwrap() };
+    vec![
+        finish(cq("proj", &["x"]).atom("R", [v("x"), v("y")])).into(),
+        finish(cq("all", &["x", "y"]).atom("R", [v("x"), v("y")])).into(),
+        finish(
+            cq("join", &["x", "w"])
+                .atom("T", [v("x"), v("y"), v("w")])
+                .atom("P", [v("x")]),
+        )
+        .into(),
+        finish(cq("nullc", &["x"]).atom("R", [v("x"), qc(Value::Null)])).into(),
+        finish(
+            cq("neg", &["x"])
+                .atom("P", [v("x")])
+                .not_atom("R", [v("x"), v("x")]),
+        )
+        .into(),
+        finish(
+            cq("cmp", &["x", "y"])
+                .atom("R", [v("x"), v("y")])
+                .cmp(v("x"), CmpOp::Neq, v("y")),
+        )
+        .into(),
+        finish(cq("bool", &[]).atom("P", [v("x")])).into(),
+        Query::union(vec![
+            finish(cq("u1", &["x"]).atom("P", [v("x")])),
+            finish(cq("u2", &["x"]).atom("R", [v("y"), v("x")])),
+            finish(
+                cq("u3", &["x"])
+                    .atom("T", [v("x"), v("y"), v("z")])
+                    .not_atom("P", [v("y")])
+                    .cmp(v("z"), CmpOp::Lt, qc(s("c1"))),
+            ),
+        ])
+        .unwrap(),
+    ]
+}
+
+/// The oracle: materialise every repair, evaluate the query on each,
+/// intersect.
+fn materialise_and_intersect(
+    d: &Instance,
+    ics: &IcSet,
+    q: &Query,
+    config: RepairConfig,
+    semantics: AnswerSemantics,
+    qsem: QueryNullSemantics,
+) -> AnswerSet {
+    let mut acc: Option<std::collections::BTreeSet<Tuple>> = None;
+    for repair in repairs(d, ics, config).unwrap() {
+        let answers = q.eval_with(&repair, qsem);
+        acc = Some(match acc {
+            None => answers,
+            Some(mut seen) => {
+                seen.retain(|t| answers.contains(t));
+                seen
+            }
+        });
+    }
+    let mut tuples = acc.unwrap_or_default();
+    if semantics == AnswerSemantics::ExcludeNullAnswers {
+        tuples.retain(|t| !t.has_null());
+    }
+    AnswerSet {
+        tuples,
+        arity: q.arity(),
+    }
+}
+
+#[test]
+fn delta_enumeration_equals_materialise_and_intersect() {
+    let sc = schema();
+    let queries = query_pool(&sc);
+    let mut rng = XorShift::new(406);
+    let strategies = [
+        SearchStrategy::Incremental,
+        SearchStrategy::Parallel { threads: 4 },
+    ];
+    let mut nonempty = 0;
+    for round in 0..40 {
+        let d = instance(&mut rng, &sc);
+        let ics = acyclic_subset(&mut rng, &sc);
+        for q in &queries {
+            for semantics in [
+                AnswerSemantics::IncludeNullAnswers,
+                AnswerSemantics::ExcludeNullAnswers,
+            ] {
+                for qsem in [
+                    QueryNullSemantics::NullAsValue,
+                    QueryNullSemantics::SqlThreeValued,
+                ] {
+                    let config = RepairConfig::default();
+                    let want = materialise_and_intersect(&d, &ics, q, config, semantics, qsem);
+                    nonempty += usize::from(!want.is_empty());
+                    for strategy in strategies {
+                        let config = RepairConfig {
+                            strategy,
+                            ..RepairConfig::default()
+                        };
+                        let got = consistent_answers_enumerated_governed(
+                            &d,
+                            &ics,
+                            q,
+                            config,
+                            semantics,
+                            qsem,
+                            &CqaCaches::new(),
+                            &CancelToken::never(),
+                        )
+                        .unwrap();
+                        assert_eq!(
+                            got, want,
+                            "round {round}, {strategy:?}, {semantics:?}, {qsem:?}, {q:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(nonempty >= 200, "only {nonempty} non-empty answers");
 }
 
 #[test]
