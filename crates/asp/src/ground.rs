@@ -30,10 +30,14 @@
 //!   `PT` set — the standard seminaive discipline, with the binding set
 //!   `instances[rule]` absorbing duplicate derivations. New head atoms
 //!   entering `PT` go back on the worklist, so one fact delta propagates
-//!   in cost proportional to its derivation cone. A body atom whose
-//!   leading arguments are bound lists only the `PT` rows in the range
-//!   that starts at that prefix, so a key-first join such as the FD rule
-//!   `R(x, y), R(x, z)` reads one key's rows, not the whole relation.
+//!   in cost proportional to its derivation cone. The join is the
+//!   workspace's one join, [`cqa_relational::Join`], in body order over
+//!   `PT` as its source, seeded by binding the pinned row and skipping
+//!   its literal. A body atom whose leading arguments are bound lists only
+//!   the `PT` rows in the range that starts at that prefix, so a key-first
+//!   join such as the FD rule `R(x, y), R(x, z)` reads one key's rows, not
+//!   the whole relation; an atom whose arguments are all bound is one
+//!   membership test.
 //! * **Refcounted resolved-rule store.** The emitted [`GroundProgram`] is
 //!   maintained *in place*: every satisfying binding resolves to a ground
 //!   rule which is inserted with a reference count (distinct bindings can
@@ -109,9 +113,10 @@
 
 use crate::error::AspError;
 use crate::syntax::{AtomSpec, BodyLit, Literal, PredId, Program, Rule, RuleAtom, Term};
-use cqa_relational::{CancelToken, Cancelled, Value};
+use cqa_relational::join::bind;
+use cqa_relational::{CancelToken, Cancelled, IndexBuild, Join, Order, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::ops::Bound;
+use std::ops::ControlFlow;
 
 /// Dense ground-atom identifier.
 pub type AtomId = u32;
@@ -422,12 +427,11 @@ impl GroundProgram {
     }
 }
 
-/// Body-literal positions of one rule, split by polarity (indices into
-/// `rule.body`).
+/// The body atoms of one rule, split by polarity, in body order.
 #[derive(Debug, Clone)]
 struct RuleInfo {
-    positives: Vec<usize>,
-    negatives: Vec<usize>,
+    positives: Vec<RuleAtom>,
+    negatives: Vec<RuleAtom>,
 }
 
 /// What seeds a binding enumeration: nothing (full join), or one body
@@ -847,15 +851,15 @@ impl GroundingState {
             positives: Vec::new(),
             negatives: Vec::new(),
         };
-        for (bi, lit) in rule.body.iter().enumerate() {
+        for lit in &rule.body {
             match lit {
                 Literal::Pos(a) => {
                     self.pos_occ[a.pred.index()].push((ri, info.positives.len()));
-                    info.positives.push(bi);
+                    info.positives.push(a.clone());
                 }
                 Literal::Neg(a) => {
                     self.neg_occ[a.pred.index()].push((ri, info.negatives.len()));
-                    info.negatives.push(bi);
+                    info.negatives.push(a.clone());
                 }
                 Literal::Cmp(..) => {}
             }
@@ -1218,7 +1222,8 @@ fn resolve_instance(
 
 /// Enumerate the full bindings of `rule` satisfying its positive body and
 /// builtins over `pt`, with `pin` optionally fixing one body literal to a
-/// concrete row, collecting the bound value vectors.
+/// concrete row, collecting the bound value vectors. The join lists a body
+/// atom's rows as the `pt` range of its bound leading arguments.
 fn collect_bindings(
     rule: &Rule,
     info: &RuleInfo,
@@ -1227,119 +1232,42 @@ fn collect_bindings(
     out: &mut Vec<Vec<Value>>,
 ) {
     let mut bindings: Vec<Option<Value>> = vec![None; rule.var_names.len()];
-    let skip = match pin {
-        Pin::All => usize::MAX,
-        Pin::Pos(pi, row) => {
-            let Literal::Pos(atom) = &rule.body[info.positives[pi]] else {
-                unreachable!("positives index a positive literal");
-            };
-            if match_row(atom, row, &mut bindings).is_none() {
-                return;
-            }
-            pi
-        }
-        Pin::Neg(ni, row) => {
-            let Literal::Neg(atom) = &rule.body[info.negatives[ni]] else {
-                unreachable!("negatives index a negative literal");
-            };
-            if match_row(atom, row, &mut bindings).is_none() {
-                return;
-            }
-            usize::MAX
-        }
+    let (pinned, skip) = match pin {
+        Pin::All => (None, None),
+        Pin::Pos(pi, row) => (Some((&info.positives[pi], row)), Some(pi)),
+        Pin::Neg(ni, row) => (Some((&info.negatives[ni], row)), None),
     };
-    join(rule, info, pt, 0, skip, &mut bindings, out);
-
-    fn join(
-        rule: &Rule,
-        info: &RuleInfo,
-        pt: &[BTreeSet<Vec<Value>>],
-        depth: usize,
-        skip: usize,
-        bindings: &mut Vec<Option<Value>>,
-        out: &mut Vec<Vec<Value>>,
-    ) {
-        if depth == info.positives.len() {
-            for lit in &rule.body {
-                if let Literal::Cmp(op, l, r) = lit {
-                    let lv = match l {
-                        Term::Const(c) => c,
-                        Term::Var(v) => bindings[*v as usize].as_ref().expect("bound by safety"),
-                    };
-                    let rv = match r {
-                        Term::Const(c) => c,
-                        Term::Var(v) => bindings[*v as usize].as_ref().expect("bound by safety"),
-                    };
-                    if !op.eval(lv, rv) {
-                        return;
-                    }
-                }
-            }
+    if let Some((atom, row)) = pinned {
+        if !bind(atom, row, true, &mut bindings) {
+            return;
+        }
+    }
+    let join = Join {
+        source: pt,
+        atoms: &info.positives,
+        order: Order::Body,
+        bound_null_matches: true,
+        root: IndexBuild::OnFirstUse,
+    };
+    let _ = join.run(&mut bindings, skip, |bindings, _| {
+        let value = |t: &Term| match t {
+            Term::Const(c) => *c,
+            Term::Var(v) => bindings[*v as usize].expect("bound by safety"),
+        };
+        let passes = rule.body.iter().all(|lit| match lit {
+            Literal::Cmp(op, l, r) => op.eval(&value(l), &value(r)),
+            _ => true,
+        });
+        if passes {
             out.push(
                 bindings
                     .iter()
                     .map(|b| (*b).expect("safe rule binds all variables"))
                     .collect(),
             );
-            return;
         }
-        if depth == skip {
-            join(rule, info, pt, depth + 1, skip, bindings, out);
-            return;
-        }
-        let Literal::Pos(atom) = &rule.body[info.positives[depth]] else {
-            unreachable!("positives index a positive literal");
-        };
-        // The leading positions bound by constants or earlier atoms fix a
-        // prefix of every matching row. Rows are ordered by their values,
-        // so the candidates are the contiguous range starting at that
-        // prefix, in the order a full scan would meet them.
-        let prefix: Vec<Value> = atom
-            .terms
-            .iter()
-            .map_while(|t| match t {
-                Term::Const(c) => Some(*c),
-                Term::Var(v) => bindings[*v as usize],
-            })
-            .collect();
-        let rows = pt[atom.pred.index()]
-            .range::<[Value], _>((Bound::Included(prefix.as_slice()), Bound::Unbounded))
-            .take_while(|row| row.starts_with(&prefix));
-        for row in rows {
-            if let Some(newly) = match_row(atom, row, bindings) {
-                join(rule, info, pt, depth + 1, skip, bindings, out);
-                for v in newly {
-                    bindings[v as usize] = None;
-                }
-            }
-        }
-    }
-}
-
-/// Match `atom`'s terms against a concrete row, extending `bindings`.
-/// Returns the newly bound variables, or `None` with bindings restored.
-fn match_row(atom: &RuleAtom, row: &[Value], bindings: &mut [Option<Value>]) -> Option<Vec<u32>> {
-    let mut newly: Vec<u32> = Vec::new();
-    for (val, term) in row.iter().zip(&atom.terms) {
-        let ok = match term {
-            Term::Const(c) => val == c,
-            Term::Var(v) => match &bindings[*v as usize] {
-                Some(b) => b == val,
-                None => {
-                    bindings[*v as usize] = Some(*val);
-                    newly.push(*v);
-                    true
-                }
-            },
-        };
-        if !ok {
-            for v in &newly {
-                bindings[*v as usize] = None;
-            }
-            return None;
-        }
-    }
-    Some(newly)
+        ControlFlow::<()>::Continue(())
+    });
 }
 
 #[cfg(test)]

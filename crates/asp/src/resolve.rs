@@ -148,16 +148,6 @@ impl SolverState {
         self.stats
     }
 
-    /// Stored learned clauses currently held.
-    pub fn clause_count(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Memoised components currently held.
-    pub fn cached_partitions(&self) -> usize {
-        self.models.len()
-    }
-
     /// Ingest the grounder's retraction log: tombstone stored clauses
     /// whose premise mentions a retracted rule. A trimmed (or unknown)
     /// log clears the whole store — injection-time validation keeps

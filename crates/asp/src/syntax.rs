@@ -1,7 +1,7 @@
 //! Non-ground program syntax: predicates, rules, literals, builders.
 
 use crate::error::AspError;
-use cqa_relational::Value;
+use cqa_relational::{BodyAtom, Slot, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -76,6 +76,23 @@ pub struct RuleAtom {
     pub pred: PredId,
     /// Terms, one per argument.
     pub terms: Vec<Term>,
+}
+
+impl BodyAtom for RuleAtom {
+    fn source(&self) -> usize {
+        self.pred.index()
+    }
+
+    fn arity(&self) -> usize {
+        self.terms.len()
+    }
+
+    fn term(&self, pos: usize) -> Slot {
+        match &self.terms[pos] {
+            Term::Var(v) => Slot::Var(*v as usize),
+            Term::Const(c) => Slot::Const(*c),
+        }
+    }
 }
 
 /// A body literal.

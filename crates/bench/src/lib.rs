@@ -16,7 +16,6 @@ pub mod harness;
 use cqa_constraints::{builders, v, Constraint, Ic, IcSet};
 use cqa_relational::testing::XorShift;
 use cqa_relational::{s, Instance, Schema, Value};
-use std::sync::Arc;
 
 /// A generated workload.
 pub struct Workload {
@@ -211,11 +210,6 @@ pub fn chain_workload(length: usize, seeds: usize) -> Workload {
         ics.push(ic);
     }
     Workload { instance, ics }
-}
-
-/// The schema-arc of a workload (convenience).
-pub fn schema_of(w: &Workload) -> Arc<Schema> {
-    w.instance.schema().clone()
 }
 
 #[cfg(test)]

@@ -25,8 +25,9 @@
 //! escape quantifies over.
 
 use crate::ast::{Ic, Term, VarId};
-use crate::satisfaction::{for_each_body_match, head_witness, phi_escape, SatMode};
-use cqa_relational::{Instance, Value};
+use crate::incremental::body_join;
+use crate::satisfaction::{head_witness, phi_escape, SatMode};
+use cqa_relational::{Instance, Order, Tuple, Value};
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 
@@ -60,12 +61,14 @@ impl AltSemantics {
 
 /// Does `instance` satisfy `ic` under the given alternative semantics?
 pub fn satisfies_alt(instance: &Instance, ic: &Ic, semantics: AltSemantics) -> bool {
+    let mut bindings: Vec<Option<Value>> = vec![None; ic.var_count()];
+    let join = body_join(instance, ic.body(), Order::Body);
     let result =
-        for_each_body_match(instance, ic, &mut |bindings, atoms| {
+        join.run(&mut bindings, None, |bindings, matched| {
             let ok =
                 match semantics {
                     AltSemantics::Bb04 => {
-                        atoms.iter().any(|a| a.has_null())
+                        (0..ic.body().len()).any(|k| matched.row(k).is_some_and(Tuple::has_null))
                             || phi_escape(ic, bindings)
                             || ic.head().iter().any(|h| {
                                 head_witness(instance, ic, h, SatMode::NullAware, bindings)

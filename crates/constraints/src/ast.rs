@@ -13,7 +13,7 @@
 
 use crate::error::ConstraintError;
 use crate::relevant::RelevantAttrs;
-use cqa_relational::{RelId, Schema, Value};
+use cqa_relational::{BodyAtom, RelId, Schema, Slot, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -60,6 +60,23 @@ impl IcAtom {
     /// Variables occurring in this atom (with repetitions collapsed).
     pub fn vars(&self) -> BTreeSet<VarId> {
         self.terms.iter().filter_map(Term::as_var).collect()
+    }
+}
+
+impl BodyAtom for IcAtom {
+    fn source(&self) -> usize {
+        self.rel.index()
+    }
+
+    fn arity(&self) -> usize {
+        self.terms.len()
+    }
+
+    fn term(&self, pos: usize) -> Slot {
+        match &self.terms[pos] {
+            Term::Var(v) => Slot::Var(v.index()),
+            Term::Const(c) => Slot::Const(*c),
+        }
     }
 }
 

@@ -95,11 +95,6 @@ pub struct ContractedGraph {
 }
 
 impl ContractedGraph {
-    /// Component index of a predicate.
-    pub fn component_of(&self, rel: RelId) -> Option<usize> {
-        self.components.iter().position(|c| c.contains(&rel))
-    }
-
     /// Does the contracted graph contain a directed cycle (self-loops
     /// count)?
     pub fn has_cycle(&self) -> bool {

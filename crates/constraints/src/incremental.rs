@@ -4,33 +4,35 @@
 //! by nested full-relation scans and re-checks the whole instance after
 //! every change. This module replaces both hot loops:
 //!
-//! * **Index-driven joins.** Body matching probes the secondary hash
-//!   indexes of [`cqa_relational::index`] instead of scanning: at every
-//!   join depth, the candidate set for an atom is the bucket of its
-//!   determined columns (constants and already-bound join variables),
-//!   listed by [`Candidates`] — the enumerator query evaluation shares,
-//!   which lives in `cqa-relational`. One determined column probes its
-//!   `ColumnIndex`, several probe the *composite* index of the exact
-//!   column set, so a multi-attribute FD/key/IC probe is a single
-//!   packed-key lookup with no residual filtering on determined positions.
-//!   The checker builds each index on first use
-//!   ([`IndexBuild::OnFirstUse`]); the instance keeps it. Buckets are
-//!   `BTreeSet<Tuple>`, so swapping a scan for a probe never changes match
-//!   enumeration order — the indexed full check ([`crate::violations`]) reports
+//! * **Index-driven joins.** Body matching and head-witness checks run
+//!   the workspace's one join, [`cqa_relational::Join`], over the
+//!   instance: at every join depth, the
+//!   candidate set for an atom is the bucket of its determined columns
+//!   (constants and already-bound join variables), listed by
+//!   [`Candidates`]. One determined column probes its `ColumnIndex`,
+//!   several probe the *composite* index of the exact column set, so a
+//!   multi-attribute FD/key/IC probe is a single packed-key lookup with no
+//!   residual filtering on determined positions; an atom whose columns are
+//!   all determined is one membership test and builds no index. The
+//!   checker builds each index on first use ([`IndexBuild::OnFirstUse`]);
+//!   the instance keeps it. Buckets are `BTreeSet<Tuple>`, so swapping a
+//!   scan for a probe never changes match enumeration order — the indexed
+//!   full check ([`crate::violations`]) joins in body order and reports
 //!   exactly the naive order, which the property suite pins down. With
 //!   interned values ([`cqa_relational::symbol`]), every probe hashes and
 //!   compares integers, independent of string content.
 //! * **Seeded (delta) matching.** [`violations_touching`] re-checks only
 //!   the ground instantiations that can involve a changed atom: inserted
-//!   tuples are pinned into each compatible body position, removed tuples
-//!   are inverted through the head atoms they may have witnessed. After a
-//!   pinned seed, the remaining body atoms are joined
-//!   *most-selective-first*: repeatedly pick the atom with the most
-//!   determined columns (tie-break: smaller relation, then body order).
-//!   This is the paper's tractability observation made operational —
-//!   repairs differ from `D` only on the Proposition-1 universe, so search
-//!   steps touch few atoms and re-checking cost should scale with the
-//!   change, not the instance.
+//!   tuples are pinned into each compatible body position (bound into the
+//!   join's seed bindings, their atom skipped), removed tuples are
+//!   inverted through the head atoms they may have witnessed (the seed
+//!   bindings alone). After the seed, the remaining body atoms are joined
+//!   *most-selective-first* ([`Order::MostBound`]): repeatedly pick the
+//!   atom with the most determined columns (tie-break: smaller relation,
+//!   then body order). This is the paper's tractability observation made
+//!   operational — repairs differ from `D` only on the Proposition-1
+//!   universe, so search steps touch few atoms and re-checking cost should
+//!   scale with the change, not the instance.
 //!
 //! Completeness of the delta rule (single- or multi-atom [`Delta`], against
 //! the *post-change* instance): a ground body assignment `σ` violated in
@@ -41,10 +43,12 @@
 //! depend only on `σ` itself and never flip. NOT NULL violations can only
 //! be created by insertions, which are checked directly.
 
-use crate::ast::{Constraint, Ic, IcAtom, IcSet, Term, VarId};
+use crate::ast::{Constraint, Ic, IcAtom, IcSet, Term};
 use crate::satisfaction::{phi_escape, SatMode, Violation, ViolationKind};
-use cqa_relational::{Candidates, DatabaseAtom, Delta, IndexBuild, Instance, Tuple, Value};
-use std::collections::BTreeMap;
+use cqa_relational::join::bind;
+use cqa_relational::{
+    Candidates, DatabaseAtom, Delta, IndexBuild, Instance, Join, Order, Tuple, Value,
+};
 use std::ops::ControlFlow;
 
 // The incremental-checking state must be cheap to fork and safe to move
@@ -64,187 +68,34 @@ const _: () = {
     assert_sync::<IcSet>();
 };
 
-/// The candidate tuples for one atom under current bindings: the bucket
-/// of its determined `checked` columns (a constant or an already-bound
-/// variable), collected in ascending position order — the canonical order
-/// of a composite index.
-fn candidates<'a>(
+/// The join of constraint atoms over `instance`, null as an ordinary
+/// constant (Definition 4 evaluates ψ^N that way, Example 12), every index
+/// built on first use. Shared with the alternative semantics of
+/// [`crate::alt`].
+pub(crate) fn body_join<'a>(
     instance: &'a Instance,
-    atom: &IcAtom,
-    bindings: &[Option<Value>],
-    checked: impl Fn(usize) -> bool,
-) -> Candidates<'a> {
-    let mut cols: Vec<usize> = Vec::with_capacity(atom.terms.len());
-    let mut values: Vec<Value> = Vec::with_capacity(atom.terms.len());
-    for (pos, term) in atom.terms.iter().enumerate() {
-        if !checked(pos) {
-            continue;
-        }
-        let value = match term {
-            Term::Const(c) => *c,
-            Term::Var(v) => match bindings[v.index()] {
-                Some(bound) => bound,
-                None => continue,
-            },
-        };
-        cols.push(pos);
-        values.push(value);
+    atoms: &'a [IcAtom],
+    order: Order,
+) -> Join<'a, Instance, IcAtom> {
+    Join {
+        source: instance,
+        atoms,
+        order,
+        bound_null_matches: true,
+        root: IndexBuild::OnFirstUse,
     }
-    Candidates::new(instance, atom.rel, &cols, &values, IndexBuild::OnFirstUse)
-}
-
-/// Try to extend `bindings` with `tuple` matched against `atom`.
-/// Returns the newly bound variables, or `None` (bindings restored).
-fn try_match(atom: &IcAtom, tuple: &Tuple, bindings: &mut [Option<Value>]) -> Option<Vec<VarId>> {
-    let mut newly: Vec<VarId> = Vec::new();
-    for (pos, term) in atom.terms.iter().enumerate() {
-        let val = tuple.get(pos);
-        let ok = match term {
-            Term::Const(c) => val == c,
-            Term::Var(v) => match &bindings[v.index()] {
-                Some(bound) => bound == val,
-                None => {
-                    bindings[v.index()] = Some(*val);
-                    newly.push(*v);
-                    true
-                }
-            },
-        };
-        if !ok {
-            for v in &newly {
-                bindings[v.index()] = None;
-            }
-            return None;
-        }
-    }
-    Some(newly)
-}
-
-fn unbind(bindings: &mut [Option<Value>], vars: &[VarId]) {
-    for v in vars {
-        bindings[v.index()] = None;
-    }
-}
-
-/// Number of determined columns of a body atom under current bindings
-/// (constants count; so do bound variables).
-fn determined_cols(atom: &IcAtom, bindings: &[Option<Value>]) -> usize {
-    atom.terms
-        .iter()
-        .filter(|t| match t {
-            Term::Const(_) => true,
-            Term::Var(v) => bindings[v.index()].is_some(),
-        })
-        .count()
-}
-
-/// A body-join pass over one constraint: joins the body atoms listed in
-/// `order[depth..]` (indices into `ic.body()`), extending
-/// `bindings`/`atoms`, and calls `f` on every full assignment. `atoms` is
-/// indexed by *body position* so violations report matches in declaration
-/// order regardless of join order.
-///
-/// When `greedy` is set, the next atom is re-chosen at every depth by
-/// selectivity (most determined columns first); otherwise `order` is
-/// followed as given.
-struct Join<'a> {
-    instance: &'a Instance,
-    ic: &'a Ic,
-    greedy: bool,
-}
-
-impl Join<'_> {
-    fn run<B>(
-        &self,
-        order: &mut Vec<usize>,
-        depth: usize,
-        bindings: &mut Vec<Option<Value>>,
-        atoms: &mut Vec<Option<DatabaseAtom>>,
-        f: &mut impl FnMut(&[Option<Value>], &[Option<DatabaseAtom>]) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
-        if depth == order.len() {
-            return f(bindings, atoms);
-        }
-        if self.greedy {
-            // Most-selective-atom-first: most determined columns, then
-            // smaller relation, then body order (deterministic).
-            let best = (depth..order.len())
-                .min_by_key(|&i| {
-                    let atom = &self.ic.body()[order[i]];
-                    (
-                        usize::MAX - determined_cols(atom, bindings),
-                        self.instance.relation(atom.rel).len(),
-                        order[i],
-                    )
-                })
-                .expect("non-empty suffix");
-            order.swap(depth, best);
-        }
-        let body_idx = order[depth];
-        let atom = &self.ic.body()[body_idx];
-        let cands = candidates(self.instance, atom, bindings, |_| true);
-        cands.iter().try_for_each(|t| {
-            let Some(newly) = try_match(atom, t, bindings) else {
-                return ControlFlow::Continue(());
-            };
-            atoms[body_idx] = Some(DatabaseAtom::new(atom.rel, t.clone()));
-            let res = self.run(order, depth + 1, bindings, atoms, f);
-            atoms[body_idx] = None;
-            unbind(bindings, &newly);
-            res
-        })
-    }
-}
-
-/// Does some tuple witness `atom` under the assignment, matching only
-/// `checked` positions? Index-probed version of the naive
-/// `head_witness`: probe on the determined *checked* columns (one column
-/// → its hash index, several → the exact composite index), then verify
-/// the remaining checked positions (existential variables must repeat
-/// consistently within the atom).
-fn head_witness_indexed(
-    instance: &Instance,
-    ic: &Ic,
-    atom: &IcAtom,
-    mode: SatMode,
-    bindings: &[Option<Value>],
-) -> bool {
-    let checked = |pos: usize| match mode {
-        SatMode::NullAware => ic.relevant().is_relevant(atom.rel, pos),
-        SatMode::Classical => true,
-    };
-    let cands = candidates(instance, atom, bindings, checked);
-    let found = cands.iter().try_for_each(|t| {
-        let mut local: BTreeMap<VarId, &Value> = BTreeMap::new();
-        for (pos, term) in atom.terms.iter().enumerate() {
-            if !checked(pos) {
-                continue;
-            }
-            let val = t.get(pos);
-            let ok = match term {
-                Term::Const(c) => val == c,
-                Term::Var(v) => match &bindings[v.index()] {
-                    Some(bound) => bound == val,
-                    None => match local.get(v) {
-                        Some(prev) => *prev == val,
-                        None => {
-                            local.insert(*v, val);
-                            true
-                        }
-                    },
-                },
-            };
-            if !ok {
-                return ControlFlow::Continue(());
-            }
-        }
-        ControlFlow::Break(())
-    });
-    found.is_break()
 }
 
 /// Is the ground constraint satisfied under a full body assignment?
 /// (IsNull escape ∨ ϕ ∨ some head witness, all index-probed.)
+///
+/// A head witness is a one-atom join from the body's bindings: the probe
+/// is on the determined columns, and each existential variable binds to
+/// the tuple's value, so it must repeat consistently within the atom.
+/// Under `NullAware` a witness need only agree on the relevant positions
+/// (`Q^{A(ψ)}` of formula (4)); every other position holds a variable
+/// that occurs once in ψ and matches anything, so one join serves both
+/// modes.
 pub(crate) fn ground_satisfied_indexed(
     instance: &Instance,
     ic: &Ic,
@@ -261,9 +112,15 @@ pub(crate) fn ground_satisfied_indexed(
     if phi_escape(ic, bindings) {
         return true;
     }
-    ic.head()
-        .iter()
-        .any(|atom| head_witness_indexed(instance, ic, atom, mode, bindings))
+    if ic.head().is_empty() {
+        return false;
+    }
+    let mut bindings = bindings.to_vec();
+    ic.head().iter().any(|atom| {
+        let witness = body_join(instance, std::slice::from_ref(atom), Order::Body);
+        let found = witness.run(&mut bindings, None, |_, _| ControlFlow::Break(()));
+        found.is_break()
+    })
 }
 
 /// Indexed full check of one TGD: joins in body order (so violations are
@@ -275,71 +132,38 @@ pub(crate) fn tgd_violations_indexed<B>(
     mode: SatMode,
     f: &mut impl FnMut(&[Option<Value>], Vec<DatabaseAtom>) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
-    let mut order: Vec<usize> = (0..ic.body().len()).collect();
     let mut bindings: Vec<Option<Value>> = vec![None; ic.var_count()];
-    let mut atoms: Vec<Option<DatabaseAtom>> = vec![None; ic.body().len()];
-    let join = Join {
-        instance,
-        ic,
-        greedy: false,
-    };
-    join.run(
-        &mut order,
-        0,
-        &mut bindings,
-        &mut atoms,
-        &mut |bindings, atoms| {
-            if ground_satisfied_indexed(instance, ic, mode, bindings) {
-                return ControlFlow::Continue(());
-            }
-            let ground: Vec<DatabaseAtom> = atoms
-                .iter()
-                .map(|a| a.clone().expect("full assignment"))
-                .collect();
-            f(bindings, ground)
-        },
-    )
+    join_violations(instance, ic, mode, Order::Body, &mut bindings, None, f)
 }
 
-/// Seeded check: pin body position `pin` to `tuple`, join the remaining
-/// atoms most-selective-first, and report violating assignments.
-fn seeded_tgd_violations<B>(
+/// Join `ic`'s body from `bindings`, leaving out the pinned body position
+/// (whose tuple the caller bound), and report every assignment that
+/// violates `ic`, with its ground body atoms in declaration order.
+fn join_violations<B>(
     instance: &Instance,
     ic: &Ic,
     mode: SatMode,
-    pin: usize,
-    tuple: &Tuple,
+    order: Order,
+    bindings: &mut [Option<Value>],
+    pin: Option<(usize, &Tuple)>,
     f: &mut impl FnMut(&[Option<Value>], Vec<DatabaseAtom>) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
-    let mut bindings: Vec<Option<Value>> = vec![None; ic.var_count()];
-    let mut atoms: Vec<Option<DatabaseAtom>> = vec![None; ic.body().len()];
-    let atom = &ic.body()[pin];
-    let Some(_newly) = try_match(atom, tuple, &mut bindings) else {
-        return ControlFlow::Continue(());
-    };
-    atoms[pin] = Some(DatabaseAtom::new(atom.rel, tuple.clone()));
-    let mut order: Vec<usize> = (0..ic.body().len()).filter(|&i| i != pin).collect();
-    let join = Join {
-        instance,
-        ic,
-        greedy: true,
-    };
-    join.run(
-        &mut order,
-        0,
-        &mut bindings,
-        &mut atoms,
-        &mut |bindings, atoms| {
-            if ground_satisfied_indexed(instance, ic, mode, bindings) {
-                return ControlFlow::Continue(());
-            }
-            let ground: Vec<DatabaseAtom> = atoms
-                .iter()
-                .map(|a| a.clone().expect("full assignment"))
-                .collect();
-            f(bindings, ground)
-        },
-    )
+    let join = body_join(instance, ic.body(), order);
+    join.run(bindings, pin.map(|(k, _)| k), |bindings, matched| {
+        if ground_satisfied_indexed(instance, ic, mode, bindings) {
+            return ControlFlow::Continue(());
+        }
+        let ground: Vec<DatabaseAtom> = ic
+            .body()
+            .iter()
+            .enumerate()
+            .map(|(k, atom)| {
+                let tuple = matched.row(k).or(pin.map(|(_, t)| t));
+                DatabaseAtom::new(atom.rel, tuple.expect("full assignment").clone())
+            })
+            .collect();
+        f(bindings, ground)
+    })
 }
 
 /// Inverted head match: the partial assignment of universal variables a
@@ -421,7 +245,22 @@ pub fn violations_touching(
                 }
             }
             Constraint::Tgd(ic) => {
-                // (a) an inserted atom joins into a body position.
+                let mut report = |bindings: &[Option<Value>], body_atoms| {
+                    let kind = ViolationKind::Tgd {
+                        bindings: bindings.to_vec(),
+                        body_atoms,
+                    };
+                    push(
+                        Violation {
+                            constraint_index: index,
+                            kind,
+                        },
+                        &mut out,
+                    );
+                    ControlFlow::<()>::Continue(())
+                };
+                // (a) an inserted atom joins into a body position: pin it
+                // there and join the other atoms most-selective-first.
                 for a in &delta.inserted {
                     if !instance.contains(a) {
                         continue;
@@ -430,26 +269,19 @@ pub fn violations_touching(
                         if batom.rel != a.rel {
                             continue;
                         }
-                        let _ = seeded_tgd_violations(
-                            instance,
-                            ic,
-                            mode,
-                            k,
-                            &a.tuple,
-                            &mut |bindings, ground| {
-                                push(
-                                    Violation {
-                                        constraint_index: index,
-                                        kind: ViolationKind::Tgd {
-                                            bindings: bindings.to_vec(),
-                                            body_atoms: ground,
-                                        },
-                                    },
-                                    &mut out,
-                                );
-                                ControlFlow::<()>::Continue(())
-                            },
-                        );
+                        let mut bindings: Vec<Option<Value>> = vec![None; ic.var_count()];
+                        if bind(batom, a.tuple.values(), true, &mut bindings) {
+                            let (order, pin) = (Order::MostBound, Some((k, &a.tuple)));
+                            let _ = join_violations(
+                                instance,
+                                ic,
+                                mode,
+                                order,
+                                &mut bindings,
+                                pin,
+                                &mut report,
+                            );
+                        }
                     }
                 }
                 // (b) a removed atom may have been the last head witness.
@@ -461,41 +293,19 @@ pub fn violations_touching(
                         if hatom.rel != a.rel {
                             continue;
                         }
-                        let Some(seed) = head_seed_bindings(ic, hatom, &a.tuple, mode) else {
+                        let Some(mut bindings) = head_seed_bindings(ic, hatom, &a.tuple, mode)
+                        else {
                             continue;
                         };
-                        let mut bindings = seed;
-                        let mut atoms: Vec<Option<DatabaseAtom>> = vec![None; ic.body().len()];
-                        let mut order: Vec<usize> = (0..ic.body().len()).collect();
-                        let join = Join {
+                        let order = Order::MostBound;
+                        let _ = join_violations(
                             instance,
                             ic,
-                            greedy: true,
-                        };
-                        let _ = join.run(
-                            &mut order,
-                            0,
+                            mode,
+                            order,
                             &mut bindings,
-                            &mut atoms,
-                            &mut |bindings, atoms| {
-                                if !ground_satisfied_indexed(instance, ic, mode, bindings) {
-                                    let ground: Vec<DatabaseAtom> = atoms
-                                        .iter()
-                                        .map(|x| x.clone().expect("full assignment"))
-                                        .collect();
-                                    push(
-                                        Violation {
-                                            constraint_index: index,
-                                            kind: ViolationKind::Tgd {
-                                                bindings: bindings.to_vec(),
-                                                body_atoms: ground,
-                                            },
-                                        },
-                                        &mut out,
-                                    );
-                                }
-                                ControlFlow::<()>::Continue(())
-                            },
+                            None,
+                            &mut report,
                         );
                     }
                 }
@@ -620,6 +430,30 @@ mod tests {
         assert!(violation_active(&d, &ics, &touched[0], SatMode::NullAware));
         d.remove(p, &bad.tuple);
         assert!(!violation_active(&d, &ics, &touched[0], SatMode::NullAware));
+    }
+
+    #[test]
+    fn a_fully_bound_body_atom_builds_no_index() {
+        let sc = Schema::builder()
+            .relation("R", ["x", "y"])
+            .relation("S", ["x", "y"])
+            .finish()
+            .unwrap()
+            .into_shared();
+        let denial = Ic::builder(&sc, "denial")
+            .body_atom("R", [v("x"), v("y")])
+            .body_atom("S", [v("x"), v("y")])
+            .finish()
+            .unwrap();
+        let ics = IcSet::new([Constraint::from(denial)]);
+        let mut d = Instance::empty(sc.clone());
+        d.insert_named("R", [s("a"), s("b")]).unwrap();
+        d.insert_named("S", [s("a"), s("b")]).unwrap();
+        assert_eq!(crate::violations(&d, &ics, SatMode::NullAware).len(), 1);
+        // S(x, y) is listed with both columns bound: one membership test.
+        let s_rel = sc.rel_id("S").unwrap();
+        assert!(d.indexed_columns(s_rel).is_empty());
+        assert!(d.indexed_column_sets(s_rel).is_empty());
     }
 
     #[test]

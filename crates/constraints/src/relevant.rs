@@ -27,7 +27,7 @@
 
 use crate::ast::{Builtin, IcAtom, Term, VarId};
 use cqa_relational::{Instance, RelId, Schema, Tuple};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The relevant-attribute metadata of one constraint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,15 +150,6 @@ impl RelevantAttrs {
             .map(|(rel, pos)| format!("{}[{}]", schema.relation(*rel).name(), pos + 1))
             .collect();
         format!("{{{}}}", names.join(", "))
-    }
-
-    /// Group the relevant positions by relation.
-    pub fn by_relation(&self) -> BTreeMap<RelId, Vec<usize>> {
-        let mut out: BTreeMap<RelId, Vec<usize>> = BTreeMap::new();
-        for (rel, pos) in &self.positions {
-            out.entry(*rel).or_default().push(*pos);
-        }
-        out
     }
 }
 

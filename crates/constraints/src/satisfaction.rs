@@ -313,9 +313,8 @@ fn tgd_violations<B>(
 
 /// Enumerate every full assignment of the body variables against the
 /// instance (null joined as an ordinary constant), calling `f` with the
-/// bindings and the matched ground body atoms. Shared by the `|=_N`
-/// evaluator and the alternative semantics of [`crate::alt`].
-pub(crate) fn for_each_body_match<B>(
+/// bindings and the matched ground body atoms.
+fn for_each_body_match<B>(
     instance: &Instance,
     ic: &Ic,
     f: &mut impl FnMut(&[Option<Value>], &[DatabaseAtom]) -> ControlFlow<B>,

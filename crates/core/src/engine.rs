@@ -1,7 +1,7 @@
 //! Repair enumeration by violation-driven decision search.
 //!
 //! A branch state is the original instance plus a set of *decisions*
-//! (`atom ↦ Inserted | Deleted`). The loop picks a violation of the
+//! (`atom ↦` a [`RepairAction`]). The loop picks a violation of the
 //! current instance (deterministic order) and branches over its minimal
 //! fixes:
 //!
@@ -39,6 +39,12 @@
 //!   ([`cqa_constraints::violation_active`]) until it finds a live one to
 //!   branch on — entries invalidated by ancestor decisions drop out here;
 //! * on exit the branch delta is reverted.
+//!
+//! Both strategies expand a node with one crate-internal function,
+//! `expand`: touching violations, lazy re-validation, the fixes that do
+//! not flip a decision, the [`RepairStep`] each branch records. The
+//! sequential driver then applies, recurses and reverts in place; the
+//! parallel one pushes tasks.
 //!
 //! Per-node cost is therefore bounded by the conflict neighbourhood of one
 //! change, not by instance size — the operational form of the paper's
@@ -175,12 +181,6 @@ impl Default for RepairConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Decision {
-    Inserted,
-    Deleted,
-}
-
 /// What a repair step did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairAction {
@@ -305,7 +305,8 @@ pub(crate) fn minimal_repair_deltas(
             };
             let mut work = d.clone();
             let worklist = caches.worklist.root_worklist(&work, ics);
-            search.run_incremental(&mut work, worklist, &mut BTreeMap::new(), &mut Vec::new())?;
+            let (decisions, trace) = (&mut BTreeMap::new(), &mut Vec::new());
+            search.run_incremental(&mut work, worklist, None, decisions, trace)?;
             search.candidates
         }
     };
@@ -357,14 +358,14 @@ fn materialise(
 /// The symmetric difference a decision set denotes: decisions never flip
 /// and inserts/deletes are only ever applied to absent/present atoms, so
 /// the decision map *is* Δ(D, current) at every fixpoint.
-pub(crate) fn delta_of(decisions: &BTreeMap<DatabaseAtom, Decision>) -> Delta {
+pub(crate) fn delta_of(decisions: &BTreeMap<DatabaseAtom, RepairAction>) -> Delta {
     let mut delta = Delta::default();
     for (atom, decision) in decisions {
         match decision {
-            Decision::Inserted => {
+            RepairAction::Insert => {
                 delta.inserted.insert(atom.clone());
             }
-            Decision::Deleted => {
+            RepairAction::Delete => {
                 delta.removed.insert(atom.clone());
             }
         }
@@ -405,78 +406,34 @@ impl Search<'_> {
 
     /// Incremental search: the worklist carries every violation that may
     /// still be live; each node re-validates lazily until it finds one to
-    /// branch on, and each branch extends the worklist with the violations
-    /// touching its single-atom delta. `current` is mutated in place and
-    /// restored before returning.
+    /// branch on ([`expand`]), and each branch applies its single-atom
+    /// delta to `current` in place, recurses with that delta as the
+    /// child's `touch`, and reverts it.
     fn run_incremental(
         &mut self,
         current: &mut Instance,
         worklist: Vec<Violation>,
-        decisions: &mut BTreeMap<DatabaseAtom, Decision>,
+        touch: Option<&Delta>,
+        decisions: &mut BTreeMap<DatabaseAtom, RepairAction>,
         trace: &mut Vec<RepairStep>,
     ) -> Result<(), CoreError> {
         self.charge_node()?;
-        let mut pending = worklist.into_iter();
-        let violation = loop {
-            match pending.next() {
-                Some(v) if violation_active(current, self.ics, &v, SatMode::NullAware) => {
-                    break v;
-                }
-                Some(_) => continue, // fixed by an ancestor decision
-                None => {
-                    self.candidates.push((delta_of(decisions), trace.clone()));
-                    return Ok(());
-                }
-            }
+        let semantics = self.config.semantics;
+        let Some((branches, rest)) =
+            expand(current, self.ics, semantics, worklist, touch, decisions)
+        else {
+            self.candidates.push((delta_of(decisions), trace.clone()));
+            return Ok(());
         };
-        let rest: Vec<Violation> = pending.collect();
-        let constraint_name = self.ics.constraints()[violation.constraint_index]
-            .name()
-            .to_string();
-        for fix in fixes_for(self.ics, self.config.semantics, &violation) {
-            let (action, atom) = match &fix {
-                Fix::Delete(atom) => {
-                    if decisions.get(atom) == Some(&Decision::Inserted) {
-                        continue; // protected
-                    }
-                    (RepairAction::Delete, atom.clone())
-                }
-                Fix::Insert(atom) => {
-                    if decisions.get(atom) == Some(&Decision::Deleted) {
-                        continue; // already ruled out on this branch
-                    }
-                    debug_assert!(
-                        !current.contains(atom),
-                        "insert fix must not already be present"
-                    );
-                    (RepairAction::Insert, atom.clone())
-                }
-            };
-            let decision = match action {
-                RepairAction::Insert => Decision::Inserted,
-                RepairAction::Delete => Decision::Deleted,
-            };
+        for (_, delta, step) in branches {
+            let atom = step.atom.clone();
             let fresh = !decisions.contains_key(&atom);
             if fresh {
-                decisions.insert(atom.clone(), decision);
+                decisions.insert(atom.clone(), step.action);
             }
-            trace.push(RepairStep {
-                constraint: constraint_name.clone(),
-                action,
-                atom: atom.clone(),
-            });
-            let delta = match action {
-                RepairAction::Insert => Delta::insertion(atom.clone()),
-                RepairAction::Delete => Delta::deletion(atom.clone()),
-            };
+            trace.push(step);
             current.apply_delta(&delta);
-            let mut child = rest.clone();
-            for v in violations_touching(current, self.ics, &delta, SatMode::NullAware) {
-                if !child.contains(&v) {
-                    child.push(v);
-                }
-            }
-            let res = self.run_incremental(current, child, decisions, trace);
+            let res = self.run_incremental(current, rest.clone(), Some(&delta), decisions, trace);
             current.revert_delta(&delta);
             trace.pop();
             if fresh {
@@ -488,15 +445,77 @@ impl Search<'_> {
     }
 }
 
-/// The minimal fixes for a violation, in deterministic order: deletions
-/// (body order), then insertions (head order). Shared by the sequential
-/// driver and the parallel branch scheduler — the fix *index* within this
-/// list is the branch-path component that pins parallel output order.
-pub(crate) fn fixes_for(
+/// One viable fix of a node's live violation: its index in
+/// [`fixes_for`]'s list (the parallel branch-path component), its
+/// single-atom delta and the step the trace records.
+pub(crate) type Branch = (usize, Delta, RepairStep);
+
+/// Expand one search node — everything the sequential driver and the
+/// parallel scheduler do alike. Extend the inherited `worklist` with the
+/// violations touching `touch` (the delta that created the node, already
+/// applied to `current`; `None` at the root), then revalidate it lazily
+/// until one violation is live. `None` means none is: the node is a
+/// consistent fixpoint. Otherwise return the live violation's viable
+/// branches in fix order and the rest of the worklist, which every child
+/// inherits.
+pub(crate) fn expand(
+    current: &Instance,
     ics: &IcSet,
     semantics: RepairSemantics,
-    violation: &Violation,
-) -> Vec<Fix> {
+    mut worklist: Vec<Violation>,
+    touch: Option<&Delta>,
+    decisions: &BTreeMap<DatabaseAtom, RepairAction>,
+) -> Option<(Vec<Branch>, Vec<Violation>)> {
+    if let Some(delta) = touch {
+        for v in violations_touching(current, ics, delta, SatMode::NullAware) {
+            if !worklist.contains(&v) {
+                worklist.push(v);
+            }
+        }
+    }
+    let mut pending = worklist.into_iter();
+    // Entries fixed by an ancestor decision drop out here.
+    let violation = pending.find(|v| violation_active(current, ics, v, SatMode::NullAware))?;
+    let rest: Vec<Violation> = pending.collect();
+    let constraint = ics.constraints()[violation.constraint_index].name();
+    let mut branches = Vec::new();
+    for (index, fix) in fixes_for(ics, semantics, &violation)
+        .into_iter()
+        .enumerate()
+    {
+        let (action, atom) = match fix {
+            Fix::Delete(atom) => (RepairAction::Delete, atom),
+            Fix::Insert(atom) => (RepairAction::Insert, atom),
+        };
+        // Decisions never flip: an inserted atom is protected, a deleted
+        // one is ruled out on this branch.
+        if decisions.get(&atom).is_some_and(|&made| made != action) {
+            continue;
+        }
+        let delta = match action {
+            RepairAction::Insert => {
+                debug_assert!(
+                    !current.contains(&atom),
+                    "insert fix must not already be present"
+                );
+                Delta::insertion(atom.clone())
+            }
+            RepairAction::Delete => Delta::deletion(atom.clone()),
+        };
+        let step = RepairStep {
+            constraint: constraint.to_string(),
+            action,
+            atom,
+        };
+        branches.push((index, delta, step));
+    }
+    Some((branches, rest))
+}
+
+/// The minimal fixes for a violation, in deterministic order: deletions
+/// (body order), then insertions (head order). The fix *index* within this
+/// list is the branch-path component that pins parallel output order.
+fn fixes_for(ics: &IcSet, semantics: RepairSemantics, violation: &Violation) -> Vec<Fix> {
     let mut out: Vec<Fix> = Vec::new();
     match &violation.kind {
         ViolationKind::NotNull { atom, .. } => {

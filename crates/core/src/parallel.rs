@@ -6,7 +6,8 @@
 //! one paragraph: search nodes are self-contained *tasks* (branch path,
 //! decision map, trace, inherited violation worklist), each worker owns a
 //! copy-on-write fork of the base instance that it reconciles against the
-//! incoming task's cumulative decision delta, expansion pushes child
+//! incoming task's cumulative decision delta, expansion (the engine's
+//! `expand`, which the sequential driver runs too) pushes child
 //! tasks onto the worker's own deque (LIFO end — depth-first locality)
 //! while idle workers steal from the opposite end (FIFO — shallow tasks
 //! with the largest subtrees), and consistent fixpoints publish
@@ -52,9 +53,9 @@
 //!   (and any later search on the same process) running.
 
 use crate::cache::CqaCaches;
-use crate::engine::{delta_of, fixes_for, Decision, Fix, RepairAction, RepairConfig, RepairStep};
+use crate::engine::{delta_of, expand, RepairAction, RepairConfig, RepairStep};
 use crate::error::{CoreError, InterruptPhase};
-use cqa_constraints::{violation_active, violations_touching, IcSet, SatMode, Violation};
+use cqa_constraints::{violation_active, IcSet, SatMode, Violation};
 use cqa_relational::{CancelToken, DatabaseAtom, Delta, Instance};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -72,7 +73,7 @@ struct Task {
     /// order key: lexicographic path order is sequential DFS order.
     path: Vec<u32>,
     /// Decisions accumulated on this branch (never flipped).
-    decisions: BTreeMap<DatabaseAtom, Decision>,
+    decisions: BTreeMap<DatabaseAtom, RepairAction>,
     /// The decision steps, in the order the branch made them.
     trace: Vec<RepairStep>,
     /// Violations inherited from the parent that may still be live here.
@@ -369,14 +370,11 @@ fn reconcile(fork: &mut Instance, applied: &mut Delta, target: Delta) {
     *applied = target;
 }
 
-/// Execute one search node: reconcile the fork, extend the worklist with
-/// the entering decision's touching violations, branch on the first live
-/// violation (or publish a fixpoint), and push child tasks.
-///
-/// Mirrors `Search::run_incremental` exactly — same worklist order, same
-/// lazy revalidation, same fix filtering — so a node at the same decision
-/// prefix sees the same instance content and emits the same children as
-/// the sequential driver would.
+/// Execute one search node: reconcile the fork, expand the node
+/// ([`expand`], the expansion the sequential driver runs too, so a node at
+/// the same decision prefix sees the same instance content and emits the
+/// same children), then publish a fixpoint or push one child task per
+/// branch.
 fn run_task(shared: &Shared<'_>, id: usize, fork: &mut Instance, applied: &mut Delta, task: Task) {
     let nodes = shared.nodes.fetch_add(1, Ordering::Relaxed) + 1;
     if nodes > shared.config.node_budget {
@@ -393,80 +391,40 @@ fn run_task(shared: &Shared<'_>, id: usize, fork: &mut Instance, applied: &mut D
         panic!("injected worker panic at node {nodes}");
     }
     reconcile(fork, applied, delta_of(&task.decisions));
-    let mut worklist = task.worklist;
-    if let Some(step_delta) = &task.touch {
-        for v in violations_touching(fork, shared.ics, step_delta, SatMode::NullAware) {
-            if !worklist.contains(&v) {
-                worklist.push(v);
-            }
-        }
-    }
-    let mut pending = worklist.into_iter();
-    let violation = loop {
-        match pending.next() {
-            Some(v) if violation_active(fork, shared.ics, &v, SatMode::NullAware) => {
-                break v;
-            }
-            Some(_) => continue, // fixed by an ancestor decision
-            None => {
-                // `applied` is exactly delta_of(task.decisions) since the
-                // reconcile above — clone it instead of rebuilding.
-                lock(&shared.found).push((task.path, applied.clone(), task.trace));
-                return;
-            }
-        }
+    let semantics = shared.config.semantics;
+    let touch = task.touch.as_ref();
+    let expansion = expand(
+        fork,
+        shared.ics,
+        semantics,
+        task.worklist,
+        touch,
+        &task.decisions,
+    );
+    let Some((branches, rest)) = expansion else {
+        // `applied` is exactly delta_of(task.decisions) since the
+        // reconcile above — clone it instead of rebuilding.
+        lock(&shared.found).push((task.path, applied.clone(), task.trace));
+        return;
     };
-    let rest: Vec<Violation> = pending.collect();
-    let constraint_name = shared.ics.constraints()[violation.constraint_index]
-        .name()
-        .to_string();
-    let fixes = fixes_for(shared.ics, shared.config.semantics, &violation);
-    let mut children: Vec<Task> = Vec::with_capacity(fixes.len());
-    for (index, fix) in fixes.into_iter().enumerate() {
-        let (action, atom) = match fix {
-            Fix::Delete(atom) => {
-                if task.decisions.get(&atom) == Some(&Decision::Inserted) {
-                    continue; // protected
-                }
-                (RepairAction::Delete, atom)
+    let children: Vec<Task> = branches
+        .into_iter()
+        .map(|(index, delta, step)| {
+            let mut decisions = task.decisions.clone();
+            decisions.insert(step.atom.clone(), step.action);
+            let mut trace = task.trace.clone();
+            trace.push(step);
+            let mut path = task.path.clone();
+            path.push(index as u32);
+            Task {
+                path,
+                decisions,
+                trace,
+                worklist: rest.clone(),
+                touch: Some(delta),
             }
-            Fix::Insert(atom) => {
-                if task.decisions.get(&atom) == Some(&Decision::Deleted) {
-                    continue; // already ruled out on this branch
-                }
-                debug_assert!(
-                    !fork.contains(&atom),
-                    "insert fix must not already be present"
-                );
-                (RepairAction::Insert, atom)
-            }
-        };
-        let decision = match action {
-            RepairAction::Insert => Decision::Inserted,
-            RepairAction::Delete => Decision::Deleted,
-        };
-        let mut decisions = task.decisions.clone();
-        decisions.insert(atom.clone(), decision);
-        let mut trace = task.trace.clone();
-        trace.push(RepairStep {
-            constraint: constraint_name.clone(),
-            action,
-            atom: atom.clone(),
-        });
-        let mut path = task.path.clone();
-        path.push(index as u32);
-        let touch = match action {
-            RepairAction::Insert => Delta::insertion(atom),
-            RepairAction::Delete => Delta::deletion(atom),
-        };
-        children.push(Task {
-            path,
-            decisions,
-            trace,
-            worklist: rest.clone(),
-            touch: Some(touch),
-        });
-    }
+        })
+        .collect();
     if !children.is_empty() {
         shared.pending.fetch_add(children.len(), Ordering::AcqRel);
         let mut queue = lock(&shared.queues[id]);

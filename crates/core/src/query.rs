@@ -16,8 +16,10 @@
 //! Every answer route ends here: enumeration evaluates the query in each
 //! repair (D + Δ on a working copy), FO-rewrite and the chase enumerate
 //! the candidate bindings of its positive body on the inconsistent
-//! instance. Evaluation is an *index nested-loop join* over the positive
-//! atoms, in the query's atom order:
+//! instance. Evaluation runs the workspace's one join,
+//! [`cqa_relational::Join`], over the positive atoms in the query's atom
+//! order — an *index nested-loop join* — and applies builtins and negated
+//! atoms to each binding it yields:
 //!
 //! * an atom with bound columns (constants, or variables an earlier atom
 //!   bound) lists its candidates by probing the index of exactly those
@@ -45,9 +47,12 @@
 
 use crate::error::CoreError;
 use cqa_constraints::{c, v, CmpOp, TermSpec};
-use cqa_relational::{Candidates, IndexBuild, Instance, RelId, Schema, Tuple, Value};
+use cqa_relational::{
+    BodyAtom, IndexBuild, Instance, Join, Order, RelId, Schema, Slot, Tuple, Value,
+};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// How to treat nulls in answer tuples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,14 +81,6 @@ pub enum QueryNullSemantics {
 }
 
 impl QueryNullSemantics {
-    /// Equality test under this semantics.
-    fn values_match(self, a: &Value, b: &Value) -> bool {
-        match self {
-            QueryNullSemantics::NullAsValue => a == b,
-            QueryNullSemantics::SqlThreeValued => !a.is_null() && !b.is_null() && a == b,
-        }
-    }
-
     /// Builtin comparison under this semantics.
     fn cmp(self, op: CmpOp, a: &Value, b: &Value) -> bool {
         match self {
@@ -105,6 +102,23 @@ pub(crate) enum QTerm {
 pub(crate) struct QAtom {
     pub rel: RelId,
     pub terms: Vec<QTerm>,
+}
+
+impl BodyAtom for QAtom {
+    fn source(&self) -> usize {
+        self.rel.index()
+    }
+
+    fn arity(&self) -> usize {
+        self.terms.len()
+    }
+
+    fn term(&self, pos: usize) -> Slot {
+        match &self.terms[pos] {
+            QTerm::Var(v) => Slot::Var(*v as usize),
+            QTerm::Const(c) => Slot::Const(*c),
+        }
+    }
 }
 
 /// A builtin comparison.
@@ -176,29 +190,28 @@ impl ConjunctiveQuery {
 
     /// Push every answer, duplicates included, onto `out`.
     fn answers_into(&self, instance: &Instance, mode: QueryNullSemantics, out: &mut Vec<Tuple>) {
-        let join = Join {
-            cq: self,
+        self.join(
             instance,
             mode,
-            root: IndexBuild::RegisteredOnly,
-        };
-        join.run(&mut |bindings| {
-            // negated atoms: no matching tuple may exist.
-            if self
-                .neg
-                .iter()
-                .any(|n| atom_has_match(instance, n, bindings, mode))
-            {
-                return true;
-            }
-            let answer: Tuple = self
-                .head
-                .iter()
-                .map(|v| bindings[*v as usize].expect("safe head var"))
-                .collect();
-            out.push(answer);
-            true
-        });
+            IndexBuild::RegisteredOnly,
+            &mut |bindings| {
+                // negated atoms: no matching tuple may exist.
+                if self
+                    .neg
+                    .iter()
+                    .any(|n| atom_has_match(instance, n, bindings, mode))
+                {
+                    return true;
+                }
+                let answer: Tuple = self
+                    .head
+                    .iter()
+                    .map(|v| bindings[*v as usize].expect("safe head var"))
+                    .collect();
+                out.push(answer);
+                true
+            },
+        );
     }
 
     /// Enumerate every binding of the *positive* body (builtins applied,
@@ -214,136 +227,44 @@ impl ConjunctiveQuery {
         mode: QueryNullSemantics,
         sink: &mut dyn FnMut(&[Option<Value>]) -> bool,
     ) {
-        let join = Join {
-            cq: self,
-            instance,
-            mode,
-            root: IndexBuild::OnFirstUse,
-        };
-        join.run(sink);
-    }
-}
-
-/// One evaluation of a query's positive body: an index nested-loop join
-/// in atom order (see the module docs).
-struct Join<'a> {
-    cq: &'a ConjunctiveQuery,
-    instance: &'a Instance,
-    mode: QueryNullSemantics,
-    /// Whether the root atom may build its index; inner atoms always may.
-    root: IndexBuild,
-}
-
-impl Join<'_> {
-    fn run(&self, sink: &mut dyn FnMut(&[Option<Value>]) -> bool) {
-        let mut bindings: Vec<Option<Value>> = vec![None; self.cq.var_names.len()];
-        self.join(0, &mut bindings, sink);
+        self.join(instance, mode, IndexBuild::OnFirstUse, sink);
     }
 
-    /// Join the atoms from `depth` on; `false` means the sink aborted.
+    /// Join the positive atoms in atom order, the root atom listed under
+    /// `root` (see the module docs), and hand every binding that passes
+    /// the builtins to `sink` until it returns `false`.
     fn join(
         &self,
-        depth: usize,
-        bindings: &mut Vec<Option<Value>>,
+        instance: &Instance,
+        mode: QueryNullSemantics,
+        root: IndexBuild,
         sink: &mut dyn FnMut(&[Option<Value>]) -> bool,
-    ) -> bool {
-        let Some(atom) = self.cq.pos.get(depth) else {
-            for b in &self.cq.builtins {
+    ) {
+        let join = Join {
+            source: instance,
+            atoms: &self.pos,
+            order: Order::Body,
+            bound_null_matches: mode == QueryNullSemantics::NullAsValue,
+            root,
+        };
+        let mut bindings: Vec<Option<Value>> = vec![None; self.var_names.len()];
+        let _ = join.run(&mut bindings, None, |bindings, _| {
+            let passes = self.builtins.iter().all(|b| {
                 let l = term_value(&b.lhs, bindings);
                 let r = term_value(&b.rhs, bindings);
-                if !self.mode.cmp(b.op, l, r) {
-                    return true;
-                }
+                mode.cmp(b.op, l, r)
+            });
+            if !passes || sink(bindings) {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
             }
-            return sink(bindings);
-        };
-        let Some((cols, values)) = bound_columns(atom, bindings, self.mode) else {
-            return true; // a bound null under SQL semantics: no match
-        };
-        if cols.len() == atom.terms.len() {
-            // Fully bound: one membership test binds nothing new.
-            if !self.instance.relation(atom.rel).contains(values.as_slice()) {
-                return true;
-            }
-            return self.join(depth + 1, bindings, sink);
-        }
-        let build = if depth == 0 {
-            self.root
-        } else {
-            IndexBuild::OnFirstUse
-        };
-        let candidates = Candidates::new(self.instance, atom.rel, &cols, &values, build);
-        let mut newly: Vec<u32> = Vec::new();
-        for t in candidates.iter() {
-            let matched = self.bind(atom, t, bindings, &mut newly);
-            let keep_going = !matched || self.join(depth + 1, bindings, sink);
-            undo(bindings, &newly);
-            newly.clear();
-            if !keep_going {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Match `t` against `atom`, binding its unbound variables (recorded
-    /// in `newly`); `false` if some position disagrees. Bound positions
-    /// are checked too, because a scan lists tuples the probe would not.
-    fn bind(
-        &self,
-        atom: &QAtom,
-        t: &Tuple,
-        bindings: &mut [Option<Value>],
-        newly: &mut Vec<u32>,
-    ) -> bool {
-        for (pos, term) in atom.terms.iter().enumerate() {
-            let val = t.get(pos);
-            let ok = match term {
-                QTerm::Const(cv) => self.mode.values_match(val, cv),
-                QTerm::Var(vid) => match &bindings[*vid as usize] {
-                    Some(b) => self.mode.values_match(b, val),
-                    None => {
-                        bindings[*vid as usize] = Some(*val);
-                        newly.push(*vid);
-                        true
-                    }
-                },
-            };
-            if !ok {
-                return false;
-            }
-        }
-        true
+        });
     }
 }
 
-/// The bound columns of `atom` (ascending) and their values: constants
-/// and variables already bound. `None` when a bound value is `null` under
-/// SQL semantics — such an atom matches no tuple, so nothing is probed.
-fn bound_columns(
-    atom: &QAtom,
-    bindings: &[Option<Value>],
-    mode: QueryNullSemantics,
-) -> Option<(Vec<usize>, Vec<Value>)> {
-    let mut cols = Vec::with_capacity(atom.terms.len());
-    let mut values = Vec::with_capacity(atom.terms.len());
-    for (pos, term) in atom.terms.iter().enumerate() {
-        let value = match term {
-            QTerm::Const(c) => *c,
-            QTerm::Var(v) => match bindings[*v as usize] {
-                Some(bound) => bound,
-                None => continue,
-            },
-        };
-        if mode == QueryNullSemantics::SqlThreeValued && value.is_null() {
-            return None;
-        }
-        cols.push(pos);
-        values.push(value);
-    }
-    Some((cols, values))
-}
-
+/// The nested-loop oracle's undo (see the test module).
+#[cfg(test)]
 fn undo(bindings: &mut [Option<Value>], newly: &[u32]) {
     for v in newly {
         bindings[*v as usize] = None;
@@ -359,20 +280,20 @@ fn term_value<'a>(t: &'a QTerm, bindings: &'a [Option<Value>]) -> &'a Value {
 
 /// Does some tuple match the negated `atom` under the bindings? Query
 /// safety binds every variable of a negated atom, so this is one
-/// membership test.
+/// membership test; under SQL semantics a `null` in it matches nothing.
 fn atom_has_match(
     instance: &Instance,
     atom: &QAtom,
     bindings: &[Option<Value>],
     mode: QueryNullSemantics,
 ) -> bool {
-    match bound_columns(atom, bindings, mode) {
-        Some((cols, values)) => {
-            debug_assert_eq!(cols.len(), atom.terms.len(), "safe negated atom");
-            instance.relation(atom.rel).contains(values.as_slice())
-        }
-        None => false,
-    }
+    let values: Vec<Value> = atom
+        .terms
+        .iter()
+        .map(|t| *term_value(t, bindings))
+        .collect();
+    (mode == QueryNullSemantics::NullAsValue || !values.iter().any(Value::is_null))
+        && instance.relation(atom.rel).contains(values.as_slice())
 }
 
 /// A union of conjunctive queries with matching answer arity — the `Query`
@@ -857,6 +778,17 @@ mod tests {
             .atom("Dept", [qv("x"), qv("y")])
             .finish()
             .is_err());
+    }
+
+    impl QueryNullSemantics {
+        /// Equality under this semantics, as the nested-loop oracle tests
+        /// it (the join carries the same rule as `bound_null_matches`).
+        fn values_match(self, a: &Value, b: &Value) -> bool {
+            match self {
+                QueryNullSemantics::NullAsValue => a == b,
+                QueryNullSemantics::SqlThreeValued => !a.is_null() && !b.is_null() && a == b,
+            }
+        }
     }
 
     /// The nested-loop evaluator the index-backed one replaced, kept as

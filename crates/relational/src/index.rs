@@ -20,15 +20,18 @@
 //!
 //! ## Who probes, and when an index is built
 //!
-//! Every join in the workspace lists its candidates through
-//! [`Candidates::new`]: no bound column scans the relation, one bound
-//! column probes its [`ColumnIndex`], several probe the [`CompositeIndex`]
-//! of exactly that column set — so one column always means one
-//! `ColumnIndex`, whoever asks. The callers are the constraint checker
-//! (`cqa-constraints`' incremental module), query evaluation (`cqa-core`'s
-//! `query` module: FO-rewrite, chase and enumeration all end there) and the
-//! FO-rewrite key guard. The [`IndexBuild`] argument says whether a missing
-//! index may be built:
+//! The workspace's one join, [`crate::Join`] in the sibling `join`
+//! module, lists an atom's candidates in an instance through
+//! [`Candidates::new`] (an atom whose columns are all bound is a
+//! membership test instead and builds nothing): no bound column scans the
+//! relation, one bound column probes its [`ColumnIndex`], several probe
+//! the [`CompositeIndex`] of exactly that column set — so one column
+//! always means one `ColumnIndex`, whoever asks. The join's callers over
+//! an instance are the constraint checker (`cqa-constraints`' incremental
+//! module) and query evaluation (`cqa-core`'s `query` module: FO-rewrite,
+//! chase and enumeration all end there); the FO-rewrite key guard calls
+//! `Candidates` directly. The [`IndexBuild`] argument says whether a
+//! missing index may be built:
 //!
 //! * over an instance the caller keeps (the checker, the fast paths'
 //!   candidate enumeration, the key guard) it is built on first use

@@ -33,6 +33,7 @@ pub mod display;
 pub mod error;
 pub mod index;
 pub mod instance;
+pub mod join;
 pub mod schema;
 pub mod symbol;
 pub mod testing;
@@ -45,6 +46,7 @@ pub use diff::{delta, Delta, InstanceDelta};
 pub use error::RelationalError;
 pub use index::{Candidates, ColsKey, ColumnIndex, CompositeIndex, IndexBuild};
 pub use instance::{Instance, Relation};
+pub use join::{BodyAtom, Join, Matched, Order, Slot, Source};
 pub use schema::{RelId, RelationSchema, Schema, SchemaBuilder};
 pub use symbol::Symbol;
 pub use tuple::Tuple;

@@ -182,7 +182,6 @@ pub struct Database {
     instance: Instance,
     constraints: IcSet,
     config: RepairConfig,
-    program_style: ProgramStyle,
     caches: Arc<CqaCaches>,
     storage: Option<Arc<DurableStore>>,
     recovery: Option<RecoveryReport>,
@@ -202,7 +201,6 @@ impl Clone for Database {
             instance: self.instance.clone(),
             constraints: self.constraints.clone(),
             config: self.config,
-            program_style: self.program_style,
             caches: self.caches.clone(),
             storage: self.storage.clone(),
             recovery: self.recovery.clone(),
@@ -231,7 +229,6 @@ impl Database {
             instance,
             constraints,
             config: RepairConfig::default(),
-            program_style: ProgramStyle::default(),
             caches: Arc::new(CqaCaches::new()),
             storage: None,
             recovery: None,
@@ -439,12 +436,6 @@ impl Database {
         self
     }
 
-    /// Override the repair-program style.
-    pub fn with_program_style(mut self, style: ProgramStyle) -> Self {
-        self.program_style = style;
-        self
-    }
-
     /// Bound every subsequent engine call (`repairs`, the program route,
     /// CQA) to at most `deadline` of wall-clock time. The budget is
     /// per-call, not cumulative: each call starts a fresh timer. A call
@@ -646,24 +637,8 @@ impl Database {
         Ok(cqa_core::repairs_via_program_governed(
             &self.instance,
             &self.constraints,
-            self.program_style,
+            ProgramStyle::Corrected,
             false,
-            &self.caches,
-            &self.op_token(),
-        )?)
-    }
-
-    /// [`Database::repairs_via_program`] with an explicit solver thread
-    /// count: independent ground-program components fan across a scoped
-    /// pool and coNP minimality checks race a solver portfolio. The
-    /// repair set is identical at every thread count.
-    pub fn repairs_via_program_threaded(&self, threads: usize) -> Result<Vec<Instance>, Error> {
-        Ok(cqa_core::repairs_via_program_solved(
-            &self.instance,
-            &self.constraints,
-            self.program_style,
-            false,
-            cqa_core::SolveOptions { threads },
             &self.caches,
             &self.op_token(),
         )?)
@@ -671,7 +646,8 @@ impl Database {
 
     /// The repair program Π(D, IC), rendered.
     pub fn repair_program_text(&self) -> Result<String, Error> {
-        let p = cqa_core::repair_program(&self.instance, &self.constraints, self.program_style)?;
+        let p =
+            cqa_core::repair_program(&self.instance, &self.constraints, ProgramStyle::Corrected)?;
         Ok(p.to_string())
     }
 
