@@ -373,6 +373,39 @@ mod tests {
     }
 
     #[test]
+    fn body_matching_registers_the_join_indexes() {
+        // The body join lists the root atom by a scan, probes an inner
+        // atom with one bound column through a `ColumnIndex` it registers
+        // on the caller's instance, and tests an atom whose columns are
+        // all bound for membership, which registers nothing.
+        let sc = Schema::builder()
+            .relation("P", ["A", "B", "C"])
+            .relation("R", ["X", "Y"])
+            .relation("S", ["X", "Y"])
+            .finish()
+            .unwrap()
+            .into_shared();
+        let ic = Ic::builder(&sc, "denial")
+            .body_atom("P", [v("x"), v("y"), v("z")])
+            .body_atom("R", [v("y"), v("w")])
+            .body_atom("S", [v("y"), v("w")])
+            .finish()
+            .unwrap();
+        let mut d = Instance::empty(sc.clone());
+        d.insert_named("P", [s("a"), s("b"), null()]).unwrap();
+        d.insert_named("R", [s("b"), s("c")]).unwrap();
+        d.insert_named("S", [s("b"), s("c")]).unwrap();
+        assert!(!satisfies_alt(&d, &ic, AltSemantics::SimpleMatch));
+        let rel = |name| sc.rel_id(name).unwrap();
+        assert!(d.indexed_columns(rel("P")).is_empty());
+        assert_eq!(d.indexed_columns(rel("R")), vec![0]);
+        assert!(d.indexed_columns(rel("S")).is_empty());
+        for name in ["P", "R", "S"] {
+            assert!(d.indexed_column_sets(rel(name)).is_empty());
+        }
+    }
+
+    #[test]
     fn all_semantics_agree_on_null_free_instances() {
         let (sc, _, psi1, psi2) = example4();
         let mut d = Instance::empty(Arc::new(sc));

@@ -150,10 +150,6 @@ pub enum Order {
     MostBound,
 }
 
-/// Total body arity up to which [`Join::run`] keeps its scratch on the
-/// stack.
-const SMALL_WIDTH: usize = 8;
-
 /// One conjunctive body to match against a source; see the module docs.
 pub struct Join<'a, S: ?Sized, A> {
     /// Where the rows come from.
@@ -215,18 +211,17 @@ impl<S: Source + ?Sized, A: BodyAtom> Join<'_, S, A> {
         mut f: impl FnMut(&[Option<Value>], Matched<'_, S::Row>) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
         // Each level takes its atom's arity off the front of these and
-        // hands the rest down, so the whole join needs them once: on the
-        // stack for the usual small body, on the heap for a wide one.
+        // hands the rest down, so the whole join needs them once.
         let width = self.atoms.iter().map(BodyAtom::arity).sum();
-        let mut small = ([0; SMALL_WIDTH], [Value::Null; SMALL_WIDTH]);
-        let mut wide: (Vec<usize>, Vec<Value>);
-        let (cols, values) = if width <= SMALL_WIDTH {
-            (&mut small.0[..width], &mut small.1[..width])
-        } else {
-            wide = (vec![0; width], vec![Value::Null; width]);
-            (&mut wide.0[..], &mut wide.1[..])
-        };
-        self.extend(bindings, skip, Matched(None), cols, values, &mut f)
+        let (mut cols, mut values) = (vec![0; width], vec![Value::Null; width]);
+        self.extend(
+            bindings,
+            skip,
+            Matched(None),
+            &mut cols,
+            &mut values,
+            &mut f,
+        )
     }
 
     fn extend<B, F>(
