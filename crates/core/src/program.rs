@@ -419,6 +419,42 @@ pub fn extract_instance(
     gp: &cqa_asp::GroundProgram,
     model: &cqa_asp::stable::Model,
 ) -> Result<Instance, CoreError> {
+    extract(schema, None, program, gp, model)
+}
+
+/// Like [`extract_instance`], but relations without a `t**` predicate in
+/// the program (pruned, unconstrained relations) are copied verbatim from
+/// the original instance — they cannot change in any repair. A row the
+/// repair keeps from `base` shares `base`'s tuple (a reference-count
+/// bump), so the repairs of one instance hold one copy of the rows they
+/// share, and dropping them frees no tuple that `base` still holds.
+pub fn extract_instance_with_base(
+    base: &Instance,
+    program: &Program,
+    gp: &cqa_asp::GroundProgram,
+    model: &cqa_asp::stable::Model,
+) -> Result<Instance, CoreError> {
+    let schema = base.schema();
+    let mut inst = extract(schema, Some(base), program, gp, model)?;
+    for (rel, decl) in schema.iter() {
+        if program.pred_id(&annotated(decl.name(), "tss")).is_none() {
+            for t in base.relation(rel) {
+                inst.insert(rel, t.clone())?;
+            }
+        }
+    }
+    Ok(inst)
+}
+
+/// The `t**` atoms of `model` as an instance; a row found in `base` is
+/// taken from it rather than allocated anew.
+fn extract(
+    schema: &std::sync::Arc<Schema>,
+    base: Option<&Instance>,
+    program: &Program,
+    gp: &cqa_asp::GroundProgram,
+    model: &cqa_asp::stable::Model,
+) -> Result<Instance, CoreError> {
     // Map tss predicate ids back to relations.
     let mut tss_to_rel: BTreeMap<cqa_asp::PredId, RelId> = BTreeMap::new();
     for (rel, decl) in schema.iter() {
@@ -430,28 +466,9 @@ pub fn extract_instance(
     for &atom_id in model {
         let ga = gp.atom(atom_id);
         if let Some(&rel) = tss_to_rel.get(&ga.pred) {
-            inst.insert(rel, Tuple::new(ga.args.iter().cloned()))?;
-        }
-    }
-    Ok(inst)
-}
-
-/// Like [`extract_instance`], but relations without a `t**` predicate in
-/// the program (pruned, unconstrained relations) are copied verbatim from
-/// the original instance — they cannot change in any repair.
-pub fn extract_instance_with_base(
-    base: &Instance,
-    program: &Program,
-    gp: &cqa_asp::GroundProgram,
-    model: &cqa_asp::stable::Model,
-) -> Result<Instance, CoreError> {
-    let schema = base.schema();
-    let mut inst = extract_instance(schema, program, gp, model)?;
-    for (rel, decl) in schema.iter() {
-        if program.pred_id(&annotated(decl.name(), "tss")).is_none() {
-            for t in base.relation(rel) {
-                inst.insert(rel, t.clone())?;
-            }
+            let kept = base.and_then(|b| b.relation(rel).get(ga.args.as_slice()));
+            let tuple = kept.map_or_else(|| Tuple::new(ga.args.iter().cloned()), Tuple::clone);
+            inst.insert(rel, tuple)?;
         }
     }
     Ok(inst)
@@ -646,6 +663,27 @@ mod tests {
         let via_program = repairs_via_program(&d, &ics, ProgramStyle::Corrected, false).unwrap();
         let via_engine = crate::engine::repairs(&d, &ics, Default::default()).unwrap();
         assert_eq!(via_program, via_engine);
+    }
+
+    #[test]
+    fn program_repairs_share_the_rows_they_keep() {
+        let (_, d, ics) = example19();
+        let reps = repairs_via_program(&d, &ics, ProgramStyle::Corrected, false).unwrap();
+        let (mut kept, mut inserted) = (0, 0);
+        for rep in &reps {
+            for atom in rep.atoms() {
+                match d.relation(atom.rel).get(atom.tuple.values()) {
+                    Some(row) => {
+                        assert!(std::ptr::eq(row.values(), atom.tuple.values()), "{atom:?}");
+                        kept += 1;
+                    }
+                    None => inserted += 1,
+                }
+            }
+        }
+        // The four repairs keep 3 + 3 + 2 + 2 rows of D, and two of them
+        // insert R(f, null).
+        assert_eq!((kept, inserted), (10, 2));
     }
 
     #[test]
