@@ -47,8 +47,7 @@ pub use hcf::{is_hcf, shift};
 pub use resolve::{resolve_on_state, SolverState, SolverStateStats};
 pub use stable::{
     brave_consequences, cautious_consequences, cautious_consequences_cancellable, is_stable,
-    is_stable_cancellable, is_stable_with, stable_models, stable_models_cancellable,
-    stable_models_with, SolveOptions,
+    is_stable_cancellable, stable_models, stable_models_cancellable,
 };
 pub use syntax::{
     atom, cmp, neg, pos, tc, tv, AtomSpec, BodyLit, BuiltinOp, PredId, Program, Rule, TermSpec,

@@ -35,19 +35,16 @@
 //!    ([`GroundingState::retractions_since`]) additionally tombstones
 //!    clauses whose premise rules were deleted, keeping the store small.
 //! 4. **Warm heuristics.** Saved phases and variable activities chain
-//!    across the coNP minimality sub-searches, and `threads > 1` fans
-//!    independent component solves across a scoped thread pool (with
-//!    portfolio minimality when only one component misses). The final
-//!    model set is sorted, so it is identical at every thread count.
+//!    across the coNP minimality sub-searches. The final model set is
+//!    sorted.
 
 use crate::error::AspError;
 use crate::ground::{AtomId, GroundRule, GroundingState};
 use crate::solve::Lit;
-use crate::stable::{encode_tagged, is_stable_warm, Model, SolveOptions, Warm};
+use crate::stable::{encode_tagged, is_stable_warm, Model, Warm};
 use cqa_relational::{CancelToken, Cancelled};
 use std::collections::{HashMap, VecDeque};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Stored clauses are dropped beyond this many literals: long clauses
 /// prune little and cost the most to validate and re-inject.
@@ -268,8 +265,7 @@ pub(crate) fn partition_rules(rules: &[GroundRule]) -> Option<Vec<Vec<GroundRule
 pub(crate) fn solve_partition(
     rules: &[GroundRule],
     stored: &VecDeque<StoredClause>,
-    threads: usize,
-    mut warm: Option<&mut Warm>,
+    warm: &mut Warm,
     cancel: &CancelToken,
 ) -> Result<(Vec<Model>, Vec<StoredClause>, u64), Cancelled> {
     // Local rules: the component's atoms numbered densely in first-seen
@@ -355,7 +351,6 @@ pub(crate) fn solve_partition(
     // premise-tracked learned clause.
     let mut models: Vec<Model> = Vec::new();
     let mut harvested: Vec<StoredClause> = Vec::new();
-    let minimality = SolveOptions { threads };
     let flow = cnf.for_each_model_tracked(
         n,
         cancel,
@@ -363,13 +358,7 @@ pub(crate) fn solve_partition(
             let local_model: Model = (0..n as AtomId)
                 .filter(|&a| assignment[a as usize])
                 .collect();
-            match is_stable_warm(
-                &local,
-                &local_model,
-                minimality,
-                warm.as_deref_mut(),
-                cancel,
-            ) {
+            match is_stable_warm(&local, &local_model, Some(&mut *warm), cancel) {
                 Err(c) => ControlFlow::Break(c),
                 Ok(false) => ControlFlow::Continue(()),
                 Ok(true) => {
@@ -436,14 +425,13 @@ pub(crate) fn solve_partition(
 /// persistent [`SolverState`]: partition, reuse, solve only what changed.
 ///
 /// The result is exactly [`crate::stable::stable_models`] of
-/// [`GroundingState::ground_program`] — same sorted model set at every
-/// thread count — but a delta that touches one component re-solves only
-/// that component. Do not call on a poisoned grounding (its ground
-/// program is partial); rebuild both states instead.
+/// [`GroundingState::ground_program`] — the same sorted model set — but a
+/// delta that touches one component re-solves only that component. Do not
+/// call on a poisoned grounding (its ground program is partial); rebuild
+/// both states instead.
 pub fn resolve_on_state(
     gs: &GroundingState,
     ss: &mut SolverState,
-    opts: SolveOptions,
     cancel: &CancelToken,
 ) -> Result<Vec<Model>, AspError> {
     let gp = gs.ground_program();
@@ -471,58 +459,12 @@ pub fn resolve_on_state(
 
     let mut solved: Vec<(usize, Vec<Model>, Vec<StoredClause>, u64)> = Vec::new();
     let mut interrupted = false;
-    if opts.threads > 1 && misses.len() > 1 {
-        // Fan independent components across a scoped pool; minimality
-        // stays sequential per worker (the fan-out is the parallelism).
-        let stored = &ss.clauses;
-        let next = AtomicUsize::new(0);
-        let workers = opts.threads.min(misses.len());
-        let results = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let misses = &misses;
-                let partitions = &partitions;
-                let next = &next;
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = misses.get(k) else { break };
-                        let res = solve_partition(&partitions[i], stored, 1, None, cancel);
-                        let failed = res.is_err();
-                        out.push((i, res));
-                        if failed {
-                            break;
-                        }
-                    }
-                    out
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("partition worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (i, res) in results {
-            match res {
-                Ok((models, harvested, reused)) => solved.push((i, models, harvested, reused)),
-                Err(Cancelled) => interrupted = true,
-            }
-        }
-    } else {
-        for &i in &misses {
-            match solve_partition(
-                &partitions[i],
-                &ss.clauses,
-                opts.threads,
-                Some(&mut ss.warm),
-                cancel,
-            ) {
-                Ok((models, harvested, reused)) => solved.push((i, models, harvested, reused)),
-                Err(Cancelled) => {
-                    interrupted = true;
-                    break;
-                }
+    for &i in &misses {
+        match solve_partition(&partitions[i], &ss.clauses, &mut ss.warm, cancel) {
+            Ok((models, harvested, reused)) => solved.push((i, models, harvested, reused)),
+            Err(Cancelled) => {
+                interrupted = true;
+                break;
             }
         }
     }
@@ -631,7 +573,7 @@ mod tests {
 
     fn resolve_fresh(gs: &GroundingState) -> Vec<Model> {
         let mut ss = SolverState::new();
-        resolve_on_state(gs, &mut ss, SolveOptions::default(), &CancelToken::never()).unwrap()
+        resolve_on_state(gs, &mut ss, &CancelToken::never()).unwrap()
     }
 
     #[test]
@@ -650,8 +592,7 @@ mod tests {
         let p = family_program(&[1, 2, 3]);
         let mut gs = GroundingState::new(&p);
         let mut ss = SolverState::new();
-        let opts = SolveOptions::default();
-        let first = resolve_on_state(&gs, &mut ss, opts, &CancelToken::never()).unwrap();
+        let first = resolve_on_state(&gs, &mut ss, &CancelToken::never()).unwrap();
         assert_eq!(&first, &stable_models(gs.ground_program()));
         let misses_before = ss.stats().partition_misses;
         assert_eq!(ss.stats().partition_hits, 0);
@@ -659,7 +600,7 @@ mod tests {
         // A fourth family only adds one component; the three cached ones
         // are reused verbatim.
         gs.add_fact_named("r", [i(4)]).unwrap();
-        let second = resolve_on_state(&gs, &mut ss, opts, &CancelToken::never()).unwrap();
+        let second = resolve_on_state(&gs, &mut ss, &CancelToken::never()).unwrap();
         assert_eq!(&second, &stable_models(gs.ground_program()));
         assert_eq!(ss.stats().partition_hits, 3);
         assert_eq!(ss.stats().partition_misses, misses_before + 1);
@@ -668,27 +609,9 @@ mod tests {
         // new solves at all.
         let r = gs.program().pred_id("r").unwrap();
         gs.remove_facts([(r, vec![i(4)])]);
-        let third = resolve_on_state(&gs, &mut ss, opts, &CancelToken::never()).unwrap();
+        let third = resolve_on_state(&gs, &mut ss, &CancelToken::never()).unwrap();
         assert_eq!(third, first);
         assert_eq!(ss.stats().partition_misses, misses_before + 1);
-    }
-
-    #[test]
-    fn threads_do_not_change_the_answer() {
-        let p = family_program(&[1, 2, 3, 4, 5]);
-        let gs = GroundingState::new(&p);
-        let expected = stable_models(gs.ground_program());
-        for threads in [1, 2, 4] {
-            let mut ss = SolverState::new();
-            let got = resolve_on_state(
-                &gs,
-                &mut ss,
-                SolveOptions { threads },
-                &CancelToken::never(),
-            )
-            .unwrap();
-            assert_eq!(got, expected, "threads={threads}");
-        }
     }
 
     #[test]
@@ -720,15 +643,14 @@ mod tests {
         .unwrap();
         let mut gs = GroundingState::new(&p);
         let mut ss = SolverState::new();
-        let opts = SolveOptions::default();
-        let first = resolve_on_state(&gs, &mut ss, opts, &CancelToken::never()).unwrap();
+        let first = resolve_on_state(&gs, &mut ss, &CancelToken::never()).unwrap();
         assert_eq!(&first, &stable_models(gs.ground_program()));
 
         // Retract a link: rules over it leave the ground program, and any
         // stored clause premised on them must go too.
         let link = gs.program().pred_id("link").unwrap();
         gs.remove_facts([(link, vec![i(2), i(3)])]);
-        let second = resolve_on_state(&gs, &mut ss, opts, &CancelToken::never()).unwrap();
+        let second = resolve_on_state(&gs, &mut ss, &CancelToken::never()).unwrap();
         assert_eq!(&second, &stable_models(gs.ground_program()));
         for sc in &ss.clauses {
             for r in &sc.rules {
@@ -748,7 +670,6 @@ mod tests {
         let p = family_program(&[1, 2, 3]);
         let mut gs = GroundingState::new(&p);
         let mut ss = SolverState::new();
-        let opts = SolveOptions::default();
         for round in 0..6 {
             if round % 2 == 0 {
                 gs.add_fact_named("r", [i(9)]).unwrap();
@@ -756,7 +677,7 @@ mod tests {
                 let r = gs.program().pred_id("r").unwrap();
                 gs.remove_facts([(r, vec![i(9)])]);
             }
-            let got = resolve_on_state(&gs, &mut ss, opts, &CancelToken::never()).unwrap();
+            let got = resolve_on_state(&gs, &mut ss, &CancelToken::never()).unwrap();
             assert_eq!(got, stable_models(gs.ground_program()), "round {round}");
         }
         assert!(ss.stats().partition_hits > 0);
@@ -786,13 +707,13 @@ mod tests {
         let mut ss = SolverState::new();
         let tripped = CancelToken::new();
         tripped.cancel();
-        match resolve_on_state(&gs, &mut ss, SolveOptions::default(), &tripped) {
+        match resolve_on_state(&gs, &mut ss, &tripped) {
             Err(AspError::Interrupted { partial, .. }) => assert_eq!(partial, 0),
             other => panic!("expected Interrupted, got {other:?}"),
         }
         // The same state finishes the job under a fresh token.
         let fresh = CancelToken::never();
-        let got = resolve_on_state(&gs, &mut ss, SolveOptions::default(), &fresh).unwrap();
+        let got = resolve_on_state(&gs, &mut ss, &fresh).unwrap();
         assert_eq!(got, stable_models(gs.ground_program()));
     }
 

@@ -94,14 +94,8 @@
 //! * **Warm heuristics.** [`Cnf::satisfiable_warm`] seeds saved phases
 //!   and VSIDS activities from a previous run and hands the final values
 //!   back; heuristics never affect verdicts, only time-to-verdict.
-//! * **Portfolio SAT.** [`Cnf::satisfiable_portfolio`] races diversified
-//!   activity-policy solvers (phase / order variants) over the same
-//!   formula, first answer wins, the rest are cooperatively cancelled.
-//!   Used for the coNP minimality sub-checks of the stability test; the
-//!   enumeration path stays sequential and order-pinned.
 
 use std::ops::ControlFlow;
-use std::sync::Mutex;
 
 use cqa_relational::{CancelToken, Cancelled};
 
@@ -372,86 +366,6 @@ impl Cnf {
             .map(|v| solver.assign[v].unwrap_or(solver.phase[v]))
             .collect();
         Ok((sat, phases_out, solver.var_act))
-    }
-
-    /// [`Cnf::satisfiable_cancellable`] as a first-answer-wins race of up
-    /// to `threads` diversified activity-policy solvers (differing initial
-    /// phases and decision orders). The winner cancels the rest
-    /// cooperatively; `cancel` still aborts the whole race. Small formulas
-    /// (and `threads <= 1`) stay sequential — spawn cost would dominate.
-    pub fn satisfiable_portfolio(
-        &self,
-        threads: usize,
-        cancel: &CancelToken,
-    ) -> Result<bool, Cancelled> {
-        if threads <= 1 || self.num_vars < PORTFOLIO_MIN_VARS {
-            return self.satisfiable_cancellable(cancel);
-        }
-        let workers = threads.min(4);
-        let done = CancelToken::new();
-        let result: Mutex<Option<bool>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for k in 0..workers {
-                let (done, result) = (&done, &result);
-                scope.spawn(move || {
-                    let mut solver = Solver::new(self, self.num_vars, Policy::Activity);
-                    solver.diversify(k);
-                    let verdict = if !solver.init() {
-                        Ok(false)
-                    } else {
-                        let mut sat = false;
-                        solver
-                            .search(
-                                &PairToken(cancel, done),
-                                &mut |_m: &[bool]| {
-                                    sat = true;
-                                    ControlFlow::Break(())
-                                },
-                                &mut |_, _| {},
-                            )
-                            .map(|_| sat)
-                    };
-                    if let Ok(sat) = verdict {
-                        let mut slot = result.lock().unwrap_or_else(|e| e.into_inner());
-                        if slot.is_none() {
-                            *slot = Some(sat);
-                        }
-                        done.cancel(); // first answer wins; losers stand down
-                    }
-                });
-            }
-        });
-        cancel.check()?;
-        let verdict = result.into_inner().unwrap_or_else(|e| e.into_inner());
-        Ok(verdict.expect("uncancelled portfolio has a finisher"))
-    }
-}
-
-/// Portfolio floor: below this many variables a sub-check resolves faster
-/// than a thread spawns, so the race would only add overhead.
-const PORTFOLIO_MIN_VARS: usize = 48;
-
-/// Polling the union of two cancellation sources (the caller's governor
-/// and the portfolio's first-answer-wins flag) without allocating a
-/// combined token. Monomorphised into `search`, so the sequential paths
-/// pay nothing for its existence.
-trait PollCancel {
-    fn check(&self) -> Result<(), Cancelled>;
-}
-
-impl PollCancel for CancelToken {
-    fn check(&self) -> Result<(), Cancelled> {
-        CancelToken::check(self)
-    }
-}
-
-/// Either token tripping cancels the search.
-struct PairToken<'a>(&'a CancelToken, &'a CancelToken);
-
-impl PollCancel for PairToken<'_> {
-    fn check(&self) -> Result<(), Cancelled> {
-        self.0.check()?;
-        self.1.check()
     }
 }
 
@@ -945,18 +859,6 @@ impl<'a> Solver<'a> {
         self.max_learnts += self.max_learnts / 10 + 1;
     }
 
-    /// Portfolio diversification: worker `k` varies its initial saved
-    /// phases (bit 0) and reverses its initial decision order (bit 1).
-    /// Pure heuristics — the verdict is unaffected, only the route to it.
-    fn diversify(&mut self, k: usize) {
-        if k & 1 == 1 {
-            self.phase.iter_mut().for_each(|p| *p = true);
-        }
-        if k & 2 == 2 {
-            self.order.reverse();
-        }
-    }
-
     /// First unassigned decision variable in the current order.
     fn pick_unassigned(&self) -> Option<u32> {
         self.order
@@ -1004,7 +906,7 @@ impl<'a> Solver<'a> {
     /// with the solver state simply abandoned.
     fn search<B>(
         &mut self,
-        cancel: &impl PollCancel,
+        cancel: &CancelToken,
         f: &mut impl FnMut(&[bool]) -> ControlFlow<B>,
         on_learnt: &mut impl FnMut(&[Lit], Option<&[u32]>),
     ) -> Result<ControlFlow<B>, Cancelled> {
@@ -1561,38 +1463,6 @@ mod tests {
             }
         }
         assert!(tracked > 0, "the sweep must exercise tracked learning");
-    }
-
-    #[test]
-    fn portfolio_agrees_with_sequential_satisfiable() {
-        // Under the variable floor the portfolio is the sequential path;
-        // over it the diversified race must return the same verdict.
-        const {
-            assert!(
-                PORTFOLIO_MIN_VARS <= 56,
-                "pigeonhole(7) must cross the floor"
-            );
-        }
-        let unsat = pigeonhole(7); // 56 vars, UNSAT
-        assert!(!unsat
-            .satisfiable_portfolio(4, &CancelToken::never())
-            .unwrap());
-        let mut sat = Cnf::new(60); // wide satisfiable chain
-        for v in 0..59u32 {
-            sat.add_clause([Lit::neg(v), Lit::pos(v + 1)]);
-        }
-        sat.add_clause([Lit::pos(0)]);
-        assert!(sat.satisfiable_portfolio(4, &CancelToken::never()).unwrap());
-        // Small formulas take the sequential route and still agree.
-        let mut seed = XorShift::new(712);
-        for round in 0..60 {
-            let cnf = random_cnf(&mut seed, 4 + (round % 5), 6 + (round % 7));
-            assert_eq!(
-                cnf.satisfiable_portfolio(4, &CancelToken::never()).unwrap(),
-                cnf.satisfiable(),
-                "round {round}: {cnf:?}"
-            );
-        }
     }
 
     #[test]

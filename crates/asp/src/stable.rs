@@ -41,27 +41,6 @@ use std::ops::ControlFlow;
 /// A model: the set of true atoms.
 pub type Model = BTreeSet<AtomId>;
 
-/// Knobs for the solving entry points that support parallelism.
-///
-/// `threads > 1` races a small portfolio of diversified CDCL workers on
-/// each coNP minimality sub-check (first answer wins; see
-/// [`Cnf::satisfiable_portfolio`]) and lets the incremental resolve path
-/// fan independent partition solves. The *enumeration* itself stays
-/// sequential and lexicographic at every thread count, so the set and
-/// order of returned models never depend on `threads`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolveOptions {
-    /// Worker threads for minimality sub-checks and partition fan-out.
-    /// `1` (the default) keeps everything on the calling thread.
-    pub threads: usize,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        SolveOptions { threads: 1 }
-    }
-}
-
 /// Warm-start heuristics chained across successive minimality
 /// sub-searches: saved phases and variable activities from the previous
 /// search seed the next one. Seeding is zip-truncated, so consecutive
@@ -71,22 +50,7 @@ impl Default for SolveOptions {
 pub(crate) struct Warm {
     pub phases: Vec<bool>,
     pub acts: Vec<u64>,
-    /// Set once a sequential minimality check ran long (see
-    /// [`HARD_CHECK_NS`]): from then on `threads > 1` escalates to the
-    /// portfolio race. Easy instances resolve checks in microseconds,
-    /// where spawning the portfolio's OS threads costs more than the
-    /// whole check — so the knob must not engage until a check proves
-    /// hard. A heuristic threshold only: both paths return identical
-    /// verdicts, so timing jitter cannot change any result.
-    pub hard: bool,
 }
-
-/// A sequential minimality check running at least this long flips
-/// [`Warm::hard`]. A portfolio race pays thread spawns plus a per-worker
-/// solver build — construction is proportional to CNF size and runs
-/// 1–2 ms on Section-5-scale programs — so escalation only pays once a
-/// check's *search* clearly dominates its construction.
-const HARD_CHECK_NS: u128 = 5_000_000;
 
 /// Enumerate the stable models, calling `f` for each; `Break` stops early.
 pub fn for_each_stable_model<B>(
@@ -104,18 +68,6 @@ pub fn for_each_stable_model<B>(
 pub fn for_each_stable_model_cancellable<B>(
     gp: &GroundProgram,
     cancel: &CancelToken,
-    f: impl FnMut(&Model) -> ControlFlow<B>,
-) -> Result<ControlFlow<B>, Cancelled> {
-    for_each_stable_model_with(gp, SolveOptions::default(), cancel, f)
-}
-
-/// [`for_each_stable_model_cancellable`] with explicit [`SolveOptions`].
-/// Models arrive in the same (solver-lexicographic) order at every
-/// thread count; only the coNP minimality sub-checks are parallelised.
-pub fn for_each_stable_model_with<B>(
-    gp: &GroundProgram,
-    opts: SolveOptions,
-    cancel: &CancelToken,
     mut f: impl FnMut(&Model) -> ControlFlow<B>,
 ) -> Result<ControlFlow<B>, Cancelled> {
     let n = gp.atom_count();
@@ -130,7 +82,7 @@ pub fn for_each_stable_model_with<B>(
         let model: Model = (0..n as AtomId)
             .filter(|&a| assignment[a as usize])
             .collect();
-        match is_stable_warm(&gp.rules, &model, opts, Some(&mut warm), cancel) {
+        match is_stable_warm(&gp.rules, &model, Some(&mut warm), cancel) {
             Err(c) => ControlFlow::Break(Err(c)),
             Ok(false) => ControlFlow::Continue(()),
             Ok(true) => match f(&model) {
@@ -160,18 +112,8 @@ pub fn stable_models_cancellable(
     gp: &GroundProgram,
     cancel: &CancelToken,
 ) -> Result<Vec<Model>, AspError> {
-    stable_models_with(gp, SolveOptions::default(), cancel)
-}
-
-/// [`stable_models_cancellable`] with explicit [`SolveOptions`]. The
-/// returned (sorted) model set is identical at every thread count.
-pub fn stable_models_with(
-    gp: &GroundProgram,
-    opts: SolveOptions,
-    cancel: &CancelToken,
-) -> Result<Vec<Model>, AspError> {
     let mut out = Vec::new();
-    let res = for_each_stable_model_with(gp, opts, cancel, |m| {
+    let res = for_each_stable_model_cancellable(gp, cancel, |m| {
         out.push(m.clone());
         ControlFlow::<()>::Continue(())
     });
@@ -225,7 +167,7 @@ pub fn cautious_consequences_cancellable(
     let mut cautious = Model::new();
     let mut seen = 0usize;
     for rules in &components {
-        let (models, _, _) = solve_partition(rules, &no_stored, 1, Some(&mut warm), cancel)
+        let (models, _, _) = solve_partition(rules, &no_stored, &mut warm, cancel)
             .map_err(|Cancelled| interrupted(seen))?;
         seen += models.len();
         let mut models = models.into_iter();
@@ -268,27 +210,14 @@ pub fn is_stable_cancellable(
     model: &Model,
     cancel: &CancelToken,
 ) -> Result<bool, Cancelled> {
-    is_stable_warm(&gp.rules, model, SolveOptions::default(), None, cancel)
+    is_stable_warm(&gp.rules, model, None, cancel)
 }
 
-/// [`is_stable`] with explicit [`SolveOptions`]: `threads > 1` races a
-/// portfolio of diversified solvers on the coNP minimality sub-search.
-/// The verdict is identical at every thread count.
-pub fn is_stable_with(
-    gp: &GroundProgram,
-    model: &Model,
-    opts: SolveOptions,
-    cancel: &CancelToken,
-) -> Result<bool, Cancelled> {
-    is_stable_warm(&gp.rules, model, opts, None, cancel)
-}
-
-/// Shared body of the `is_stable*` entry points: optional warm-start
-/// chaining (sequential callers) and optional portfolio minimality.
+/// Shared body of the `is_stable*` entry points, with optional
+/// warm-start chaining across successive checks.
 pub(crate) fn is_stable_warm(
     rules: &[GroundRule],
     model: &Model,
-    opts: SolveOptions,
     warm: Option<&mut Warm>,
     cancel: &CancelToken,
 ) -> Result<bool, Cancelled> {
@@ -310,7 +239,7 @@ pub(crate) fn is_stable_warm(
         // fixpoint; stable iff lfp == M. Polynomial (Section 6 fast path).
         least_model_equals(&reduct, model, cancel)
     } else {
-        Ok(!has_smaller_model(&reduct, model, opts, warm, cancel)?)
+        Ok(!has_smaller_model(&reduct, model, warm, cancel)?)
     }
 }
 
@@ -343,14 +272,10 @@ fn least_model_equals(
 
 /// Search for a model `M′ ⊊ M` of the (positive) reduct: SAT over the
 /// atoms of M with "keep" variables. With a `warm` store it seeds (and
-/// then refreshes) chained phase/activity heuristics; `opts.threads > 1`
-/// escalates to a first-answer-wins portfolio race — immediately for
-/// standalone checks, adaptively (once a check proves hard) inside an
-/// enumeration, so easy instances never pay thread-spawn overhead.
+/// then refreshes) chained phase/activity heuristics.
 fn has_smaller_model(
     reduct: &[&GroundRule],
     model: &Model,
-    opts: SolveOptions,
     warm: Option<&mut Warm>,
     cancel: &CancelToken,
 ) -> Result<bool, Cancelled> {
@@ -379,24 +304,10 @@ fn has_smaller_model(
     // Strictly smaller: at least one atom dropped.
     cnf.add_clause((0..atoms.len() as u32).map(Lit::neg));
     if let Some(w) = warm {
-        if opts.threads > 1 && w.hard {
-            // The portfolio diversifies phases itself; warm seeds would
-            // only de-diversify the workers.
-            return cnf.satisfiable_portfolio(opts.threads, cancel);
-        }
-        let start = std::time::Instant::now();
         let (sat, phases, acts) = cnf.satisfiable_warm(cancel, &w.phases, &w.acts)?;
-        if opts.threads > 1 && start.elapsed().as_nanos() >= HARD_CHECK_NS {
-            w.hard = true;
-        }
         w.phases = phases;
         w.acts = acts;
         return Ok(sat);
-    }
-    if opts.threads > 1 {
-        // A standalone check has no history to adapt from; the spawn
-        // overhead is paid once, not per candidate.
-        return cnf.satisfiable_portfolio(opts.threads, cancel);
     }
     cnf.satisfiable_cancellable(cancel)
 }
@@ -821,7 +732,7 @@ mod tests {
     }
 
     /// A mixed program exercising disjunction, negation and facts, for
-    /// the encoding and threading tests below.
+    /// the encoding and oracle tests below.
     fn mixed_program() -> GroundProgram {
         let mut p = Program::new();
         for q in ["a", "b", "c", "d"] {
@@ -866,20 +777,8 @@ mod tests {
     }
 
     #[test]
-    fn solve_options_threads_never_change_the_models() {
+    fn mixed_program_models_match_the_oracle() {
         let gp = mixed_program();
-        let baseline = stable_models(&gp);
-        for threads in [1, 2, 4] {
-            let got =
-                stable_models_with(&gp, SolveOptions { threads }, &CancelToken::never()).unwrap();
-            assert_eq!(got, baseline, "threads={threads}");
-            for m in &baseline {
-                assert!(
-                    is_stable_with(&gp, m, SolveOptions { threads }, &CancelToken::never())
-                        .unwrap()
-                );
-            }
-        }
-        assert_eq!(baseline, oracle(&gp));
+        assert_eq!(stable_models(&gp), oracle(&gp));
     }
 }

@@ -2,7 +2,7 @@
 //! profile of the seminaive incremental grounder (PR 4) and the DRed
 //! delete–rederive pass (PR 5).
 //!
-//! Five series per instance size (Example-19 shape, conflicts fixed at
+//! Six series per instance size (Example-19 shape, conflicts fixed at
 //! 2 key conflicts + 1 dangling FK while clean tuples grow 16×):
 //!
 //! * `ground_scratch/N` — building a fresh [`GroundingState`] for
@@ -37,14 +37,8 @@
 //!   `resolve_delta/800 ≤ 0.25 × solve/800` within the same run — the
 //!   incremental solver must beat from-scratch enumeration at least 4×,
 //!   matching the insert/delete grounder gates.
-//! * `solve_threads/{1,4}` — from-scratch [`stable_models_with`] at the
-//!   largest size, sequential vs the partition fan-out + portfolio
-//!   minimality path, pinning that the thread knob actually buys time on
-//!   the shape the paper's Section 5 scales.
 
-use cqa_asp::{
-    resolve_on_state, stable_models, stable_models_with, GroundingState, SolveOptions, SolverState,
-};
+use cqa_asp::{resolve_on_state, stable_models, GroundingState, SolverState};
 use cqa_bench::harness::Harness;
 use cqa_core::ProgramStyle;
 use cqa_relational::{s, CancelToken};
@@ -126,13 +120,7 @@ fn program_route() {
         // untouched component, clause reuse + warm heuristics on the
         // touched one). Clone + reground are untimed setup.
         let mut warmed = SolverState::new();
-        resolve_on_state(
-            &base,
-            &mut warmed,
-            SolveOptions::default(),
-            &CancelToken::never(),
-        )
-        .unwrap();
+        resolve_on_state(&base, &mut warmed, &CancelToken::never()).unwrap();
         group.bench_with_setup(
             format!("resolve_delta/{clean}"),
             || {
@@ -142,28 +130,12 @@ fn program_route() {
             },
             |(state, mut solver)| {
                 black_box(
-                    resolve_on_state(
-                        &state,
-                        &mut solver,
-                        SolveOptions::default(),
-                        &CancelToken::never(),
-                    )
-                    .unwrap()
-                    .len(),
+                    resolve_on_state(&state, &mut solver, &CancelToken::never())
+                        .unwrap()
+                        .len(),
                 )
             },
         );
-        if clean == *sizes.last().unwrap() {
-            for threads in [1usize, 4] {
-                group.bench(format!("solve_threads/{threads}"), || {
-                    black_box(
-                        stable_models_with(gp, SolveOptions { threads }, &CancelToken::never())
-                            .unwrap()
-                            .len(),
-                    )
-                });
-            }
-        }
     }
     println!(
         "  insert reground/scratch ratio at clean={}: {insert_ratio_at_largest:.3} (target: <= 0.25)",

@@ -10,11 +10,8 @@
 //!
 //! Both files are the JSON-lines format written by
 //! [`cqa_bench::harness::Harness::finish`]. The guarded series are the
-//! headline numbers of the index/interning PRs
-//! (`repair_instance_size_axis` / `incremental/800`) and of the parallel
-//! search PR (`repair_parallel` / `threads/4` at clean=800). `tolerance`
-//! is the allowed slowdown factor (default 1.25 — “fail if >25% slower
-//! than the committed baseline”). The host-independent within-run gates
+//! [`GUARDED`] table. `tolerance` is the allowed slowdown factor (default
+//! 1.25 — “fail if >25% slower than the committed baseline”). The host-independent within-run gates
 //! (one series as a fraction of another from the same run) are the
 //! [`RATIO_GATES`] table; each applies when both of its series are
 //! present in the *current* file. The parser is a purpose-built
@@ -26,7 +23,6 @@ use std::process::ExitCode;
 /// Series guarded against regression: (group, name).
 const GUARDED: &[(&str, &str)] = &[
     ("repair_instance_size_axis", "incremental/800"),
-    ("repair_parallel", "threads/4"),
     ("program_route", "reground_delta/800"),
     ("program_route", "reground_mixed_churn/800"),
     ("program_route", "resolve_delta/800"),
@@ -51,10 +47,6 @@ const SLOW_ENTRY_NS: u128 = 200_000_000;
 /// absent from the current file (that bench was not run) is skipped.
 #[rustfmt::skip]
 const RATIO_GATES: &[(&str, &str, &str, f64, &str)] = &[
-    // Must hold on a single-core host too, where the pool degrades to
-    // sequential plus bounded scheduler overhead (measured ~1.15x); lost
-    // stealing, lock contention or busy-spin overshoot it immediately.
-    ("repair_parallel", "threads/4", "threads/1", 1.5, "parallel scheduler regression"),
     // Regrounding after a single-fact insert or DRed delete at
     // clean=800 must be at least 4x cheaper than grounding from scratch. Measured ~0.04x both ways; a grounder that silently falls
     // back to full rematerialisation converges on 1x.
@@ -277,8 +269,8 @@ mod tests {
 
     #[test]
     fn ratio_gates_pass_at_cap_and_fail_above_it() {
-        // A denominator of 3000 ns puts every cap (1.5, 1/4, 1/20, 1/1000,
-        // 2.5, 0.3) on a whole numerator, so "at cap" is exact.
+        // A denominator of 3000 ns puts every cap (1/4, 1/20, 1/1000, 2.5,
+        // 0.3) on a whole numerator, so "at cap" is exact.
         for &(group, num, den, cap, meaning) in RATIO_GATES {
             let at_cap = (cap * 3000.0).round() as u128;
             let line = ratio_line(group, (num, at_cap), (den, 3000));

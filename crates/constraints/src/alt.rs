@@ -15,9 +15,8 @@
 //!   referencing values are null, or none is and an exact witness exists.
 //! * [`AltSemantics::LeveneLoizou`] — the information-order semantics of
 //!   Levene & Loizou for inclusion dependencies (Example 9): the
-//!   referencing vector must provide ≤ information than some referenced
-//!   vector, i.e. nulls may only appear on the *referenced* side... note
-//!   the direction: `t₁ ⊑ t₂` with `t₁` the referencing projection.
+//!   referencing vector `t₁` must carry no more information than some
+//!   referenced vector `t₂`, written `t₁ ⊑ t₂`.
 //!
 //! The "referencing values" of a general form-(1) ground constraint are
 //! taken to be the values of the relevant universal variables — exactly
@@ -90,7 +89,7 @@ pub fn satisfies_alt(instance: &Instance, ic: &Ic, semantics: AltSemantics) -> b
                             || ic
                                 .head()
                                 .iter()
-                                .any(|h| wildcard_witness(instance, ic, h, bindings))
+                                .any(|h| leq_information_witness(instance, ic, h, bindings))
                     }
                     AltSemantics::FullMatch => {
                         let refs = referencing_values(ic, bindings);
@@ -133,56 +132,13 @@ fn referencing_values(ic: &Ic, bindings: &[Option<Value>]) -> Vec<Value> {
         .collect()
 }
 
-/// Partial-match witness: bound values compare as wildcards when null.
-fn wildcard_witness(
-    instance: &Instance,
-    ic: &Ic,
-    atom: &crate::ast::IcAtom,
-    bindings: &[Option<Value>],
-) -> bool {
-    'tuples: for t in instance.relation(atom.rel) {
-        let mut local: BTreeMap<VarId, &Value> = BTreeMap::new();
-        for (pos, term) in atom.terms.iter().enumerate() {
-            if !ic.relevant().is_relevant(atom.rel, pos) {
-                continue;
-            }
-            let val = t.get(pos);
-            match term {
-                Term::Const(c) => {
-                    if val != c {
-                        continue 'tuples;
-                    }
-                }
-                Term::Var(v) => {
-                    if let Some(bound) = &bindings[v.index()] {
-                        if !bound.is_null() && bound != val {
-                            continue 'tuples;
-                        }
-                    } else {
-                        match local.get(v) {
-                            Some(prev) => {
-                                if *prev != val {
-                                    continue 'tuples;
-                                }
-                            }
-                            None => {
-                                local.insert(*v, val);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        return true;
-    }
-    false
-}
-
-/// Levene–Loizou witness: the referencing value must equal the referenced
-/// one, or be null itself... no: `t₁ ⊑ t₂` means the *referencing* value is
-/// null or equal — nulls on the referenced side do **not** match a concrete
-/// referencing value (Example 9: `(W04, 34)` is not ≤-covered by
-/// `(W04, null)`).
+/// A head witness under the information order: some tuple `t₂` of
+/// `atom`'s relation with `t₁ ⊑ t₂` on the relevant positions, where `t₁`
+/// is the referencing projection under `bindings`. `t₁ ⊑ t₂` holds when
+/// each value of `t₁` is null or equal to `t₂`'s, so a null in `t₂`
+/// matches no concrete value of `t₁` (Example 9: `(W04, 34)` is not
+/// covered by `(W04, null)`). Levene–Loizou and partial match, whose
+/// referencing nulls are wildcards, both test this.
 fn leq_information_witness(
     instance: &Instance,
     ic: &Ic,

@@ -52,12 +52,11 @@ use cqa_relational::{
 use std::ops::ControlFlow;
 
 // The incremental-checking state must be cheap to fork and safe to move
-// across threads: the parallel repair search hands each worker its own
-// instance fork and ships worklists of [`Violation`]s between workers as
-// work-stealing task payloads. [`Candidates`] holds `Arc` index snapshots
-// (fork = refcount bump) and interned `Copy` values, so both properties
-// are structural; these witnesses turn any accidental `!Send` (an `Rc`, a
-// raw pointer) into a compile error.
+// across threads: callers share a `Database`'s `Instance` and `IcSet`
+// between threads, as `tests/cancellation.rs` does. [`Candidates`] holds
+// `Arc` index snapshots (fork = refcount bump) and interned `Copy`
+// values, so both properties are structural; these witnesses turn any
+// accidental `!Send` (an `Rc`, a raw pointer) into a compile error.
 const _: () = {
     use cqa_relational::testing::{assert_send, assert_sync};
     assert_send::<Candidates<'static>>();

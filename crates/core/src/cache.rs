@@ -91,11 +91,11 @@ impl WorklistCache {
         WorklistCache::default()
     }
 
-    /// The full violation set of `d` — the root worklist of the
-    /// incremental and parallel searches — served from the cache when the
-    /// version + constraint set match. Keying on [`Instance::version`]
-    /// makes invalidation exact: any content mutation reassigns the stamp,
-    /// and clones share stamps only while content-identical.
+    /// The full violation set of `d` — the repair search's root
+    /// worklist — served from the cache when the version + constraint set
+    /// match. Keying on [`Instance::version`] makes invalidation exact: any
+    /// content mutation reassigns the stamp, and clones share stamps only
+    /// while content-identical.
     pub(crate) fn root_worklist(&self, d: &Instance, ics: &IcSet) -> Vec<Violation> {
         let version = d.version();
         {

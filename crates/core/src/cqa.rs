@@ -6,9 +6,9 @@
 //! * [`consistent_answers`] — plan first ([`crate::plan`]), else
 //!   enumerate the repairs with the decision engine and intersect the
 //!   query answers ([`consistent_answers_enumerated`] skips the planner).
-//!   The engine hands each repair out as Δ(D, repair); each evaluation
-//!   worker applies a Δ to its one working copy of D, evaluates and
-//!   reverts, so no repair is materialised or sorted;
+//!   The engine hands each repair out as Δ(D, repair); the evaluation
+//!   applies each Δ to one working copy of D, evaluates and reverts, so no
+//!   repair is materialised or sorted;
 //! * [`consistent_answers_via_program`] — append query rules over the
 //!   `t**` predicates to Π(D, IC) and take the cautious consequences of
 //!   the stable models (the paper's Section 5 pipeline; Theorem 4 makes
@@ -30,7 +30,6 @@ use cqa_asp::{atom, cmp, neg, pos, tc, tv, AspError, BodyLit, BuiltinOp};
 use cqa_constraints::IcSet;
 use cqa_relational::{CancelToken, Instance, Tuple};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// The result of a CQA call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,13 +85,9 @@ pub fn consistent_answers(
 
 /// [`consistent_answers`] against the caller's cache bundle and under a
 /// cancellation token: the repair search polls it per node, and the
-/// per-repair evaluation loop polls it per repair, between evaluations
-/// (serial and chunked alike). Under
-/// [`SearchStrategy::Parallel`](crate::SearchStrategy::Parallel) the
-/// per-repair query evaluation and intersection fan out over the same
-/// worker count as the repair search (chunked evaluation, then an ordered
-/// intersection of the chunk results); a cross-chunk flag stops all
-/// workers once any partial intersection is empty. An interrupt in evaluation surfaces as
+/// per-repair evaluation loop polls it per repair, between evaluations.
+/// The loop stops early once the running intersection is empty. An
+/// interrupt in evaluation surfaces as
 /// [`CoreError::Interrupted`] with `phase = QueryEvaluation` and
 /// `partial` counting the repairs whose answers were fully intersected —
 /// the running intersection itself is not returned, since it only
@@ -169,9 +164,9 @@ pub fn consistent_answers_enumerated(
 /// [`consistent_answers_enumerated`] against the caller's cache bundle
 /// and under a cancellation token — the repair-enumeration body that
 /// [`consistent_answers_governed`] falls through to when the planner
-/// declines. Repairs are evaluated as D + Δ on one working copy per
-/// worker, in the engine's discovery order; the intersection does not
-/// depend on that order.
+/// declines. Repairs are evaluated as D + Δ on one working copy, in the
+/// engine's discovery order; the intersection does not depend on that
+/// order.
 #[allow(clippy::too_many_arguments)]
 pub fn consistent_answers_enumerated_governed(
     d: &Instance,
@@ -184,62 +179,36 @@ pub fn consistent_answers_enumerated_governed(
     cancel: &CancelToken,
 ) -> Result<AnswerSet, CoreError> {
     let repairs = minimal_repair_deltas(d, ics, config, caches, cancel)?;
-    let evaluated = AtomicUsize::new(0);
-    let empty = AtomicBool::new(false);
-    // One loop for every thread count: with one worker, `map_chunks`
-    // runs its single chunk inline.
-    let chunks = crate::parallel::map_chunks(repairs.len(), config.strategy.threads(), |range| {
-        // The worker's working copy: each repair is D + Δ for the span of
-        // one evaluation. The first `apply_delta` copies the relations Δ
-        // touches (they are shared with `d` until then), later ones
-        // mutate in place, and the inner-atom indexes the evaluator
-        // registers are maintained across the worker's repairs.
-        let mut work = d.clone();
-        let mut local: Option<BTreeSet<Tuple>> = None;
-        for (delta, _) in &repairs[range] {
-            if empty.load(Ordering::Relaxed) || cancel.is_cancelled() {
-                break;
-            }
-            work.apply_delta(delta);
-            let answers = query.eval_with(&work, query_semantics);
-            work.revert_delta(delta);
-            evaluated.fetch_add(1, Ordering::Relaxed);
-            local = Some(match local {
-                None => answers,
-                Some(mut seen) => {
-                    seen.retain(|t| answers.contains(t));
-                    seen
-                }
+    // The working copy: each repair is D + Δ for the span of one
+    // evaluation. The first `apply_delta` copies the relations Δ touches
+    // (they are shared with `d` until then), later ones mutate in place,
+    // and the inner-atom indexes the evaluator registers are maintained
+    // across repairs.
+    let mut work = d.clone();
+    let mut acc: Option<BTreeSet<Tuple>> = None;
+    for (evaluated, (delta, _)) in repairs.iter().enumerate() {
+        // A token that trips after the last evaluation does not discard a
+        // complete answer.
+        if cancel.is_cancelled() {
+            return Err(CoreError::Interrupted {
+                phase: InterruptPhase::QueryEvaluation,
+                partial: evaluated,
             });
-            if local.as_ref().is_some_and(BTreeSet::is_empty) {
-                empty.store(true, Ordering::Relaxed);
-                break;
-            }
         }
-        local
-    });
-    let (empty, evaluated) = (empty.into_inner(), evaluated.into_inner());
-    // Interrupted means some repair went unevaluated without an empty
-    // intersection to excuse it; a token that trips after the last
-    // evaluation does not discard a complete answer.
-    if !empty && evaluated < repairs.len() {
-        return Err(CoreError::Interrupted {
-            phase: InterruptPhase::QueryEvaluation,
-            partial: evaluated,
-        });
-    }
-    let mut acc = if empty {
+        work.apply_delta(delta);
+        let answers = query.eval_with(&work, query_semantics);
+        work.revert_delta(delta);
+        match &mut acc {
+            None => acc = Some(answers),
+            Some(seen) => seen.retain(|t| answers.contains(t)),
+        }
         // Some subset of repairs already intersects to nothing, so the
         // full intersection is empty.
-        BTreeSet::new()
-    } else {
-        let mut parts = chunks.into_iter().flatten();
-        let mut acc = parts.next().unwrap_or_default();
-        for part in parts {
-            acc.retain(|t| part.contains(t));
+        if acc.as_ref().is_some_and(BTreeSet::is_empty) {
+            break;
         }
-        acc
-    };
+    }
+    let mut acc = acc.unwrap_or_default();
     if semantics == AnswerSemantics::ExcludeNullAnswers {
         acc.retain(|t| !t.has_null());
     }
@@ -676,7 +645,7 @@ mod tests {
         // 3 key conflicts give 8 repairs; a 3-way self-join of R on its
         // value column (40³ answers) makes each evaluation outlast the
         // search, so a deadline lands in evaluation.
-        use crate::engine::{repairs, SearchStrategy};
+        use crate::engine::repairs;
         use crate::error::InterruptPhase;
         let sc = Schema::builder()
             .relation("R", ["k", "v"])
@@ -702,52 +671,37 @@ mod tests {
             .into();
         let count = repairs(&d, &ics, RepairConfig::default()).unwrap().len();
         assert_eq!(count, 8);
-        for strategy in [
-            SearchStrategy::Incremental,
-            SearchStrategy::Parallel { threads: 4 },
-        ] {
-            let config = RepairConfig {
-                strategy,
-                ..RepairConfig::default()
-            };
-            // Double the deadline until one passes the search; the first
-            // such deadline trips during evaluation.
-            let mut tripped_in_evaluation = false;
-            for ms in (0..10).map(|k| 1u64 << k) {
-                let token = CancelToken::with_timeout(std::time::Duration::from_millis(ms));
-                match consistent_answers_enumerated_governed(
-                    &d,
-                    &ics,
-                    &q,
-                    config,
-                    AnswerSemantics::IncludeNullAnswers,
-                    QueryNullSemantics::NullAsValue,
-                    &CqaCaches::new(),
-                    &token,
-                ) {
-                    Err(CoreError::Interrupted {
-                        phase: InterruptPhase::RepairSearch,
-                        ..
-                    }) => continue,
-                    Err(CoreError::Interrupted {
-                        phase: InterruptPhase::QueryEvaluation,
-                        partial,
-                    }) => {
-                        assert!(
-                            partial < count,
-                            "{strategy:?}: partial {partial} of {count}"
-                        );
-                        tripped_in_evaluation = true;
-                        break;
-                    }
-                    other => panic!("{strategy:?}, {ms} ms: {other:?}"),
+        // Double the deadline until one passes the search; the first such
+        // deadline trips during evaluation.
+        let mut tripped_in_evaluation = false;
+        for ms in (0..10).map(|k| 1u64 << k) {
+            let token = CancelToken::with_timeout(std::time::Duration::from_millis(ms));
+            match consistent_answers_enumerated_governed(
+                &d,
+                &ics,
+                &q,
+                RepairConfig::default(),
+                AnswerSemantics::IncludeNullAnswers,
+                QueryNullSemantics::NullAsValue,
+                &CqaCaches::new(),
+                &token,
+            ) {
+                Err(CoreError::Interrupted {
+                    phase: InterruptPhase::RepairSearch,
+                    ..
+                }) => continue,
+                Err(CoreError::Interrupted {
+                    phase: InterruptPhase::QueryEvaluation,
+                    partial,
+                }) => {
+                    assert!(partial < count, "partial {partial} of {count}");
+                    tripped_in_evaluation = true;
+                    break;
                 }
+                other => panic!("{ms} ms: {other:?}"),
             }
-            assert!(
-                tripped_in_evaluation,
-                "{strategy:?}: no deadline hit evaluation"
-            );
         }
+        assert!(tripped_in_evaluation, "no deadline hit evaluation");
     }
 
     #[test]

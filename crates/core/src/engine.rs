@@ -21,12 +21,11 @@
 //! `≤_D`-minimisation. The engine is validated against the brute-force
 //! oracle in the property suite.
 //!
-//! ## Incremental search (the default strategy)
+//! ## Incremental search
 //!
 //! The naive loop re-scans the *whole instance* for a violation at every
 //! search node — O(data) per node even when only one atom changed. The
-//! default [`SearchStrategy::Incremental`] instead carries a **violation
-//! worklist** down the tree:
+//! search instead carries a **violation worklist** down the tree:
 //!
 //! * the root worklist is the full violation set (index-probed scan);
 //! * each branch applies its single-atom decision as a [`Delta`] *in
@@ -39,12 +38,6 @@
 //!   ([`cqa_constraints::violation_active`]) until it finds a live one to
 //!   branch on — entries invalidated by ancestor decisions drop out here;
 //! * on exit the branch delta is reverted.
-//!
-//! Both strategies expand a node with one crate-internal function,
-//! `expand`: touching violations, lazy re-validation, the fixes that do
-//! not flip a decision, the [`RepairStep`] each branch records. The
-//! sequential driver then applies, recurses and reverts in place; the
-//! parallel one pushes tasks.
 //!
 //! Per-node cost is therefore bounded by the conflict neighbourhood of one
 //! change, not by instance size — the operational form of the paper's
@@ -61,42 +54,13 @@
 //!
 //! * [`repairs`] and its siblings materialise each repair (base + Δ) and
 //!   sort by atom list — the public, pinned order;
-//! * enumeration CQA ([`crate::cqa`]) never materialises: each worker
-//!   applies a Δ to one working copy of D, evaluates the query and reverts
-//!   the Δ, so a read costs the search plus one evaluation per repair, not
-//!   a copy and an atom-list sort per repair.
+//! * enumeration CQA ([`crate::cqa`]) never materialises: it applies each
+//!   Δ to one working copy of D, evaluates the query and reverts the Δ, so
+//!   a read costs the search plus one evaluation per repair, not a copy
+//!   and an atom-list sort per repair.
 //!
-//! ## Parallel search architecture
-//!
-//! Branches of the decision search are independent given the decision
-//! prefix that reaches them, so [`SearchStrategy::Parallel`] runs the same
-//! incremental worklist search across a work-stealing pool
-//! ([`crate::parallel`], std-only):
-//!
-//! * **Tasks, not stacks.** A search node is a self-contained task: its
-//!   branch path (the sequence of fix indices from the root, the key that
-//!   pins output order), its decision map, trace, and the inherited
-//!   violation worklist plus the not-yet-expanded delta of the decision
-//!   that created it. Expanding a node pushes one task per viable fix onto
-//!   the worker's own deque (LIFO end, preserving depth-first locality);
-//!   idle workers steal from the opposite (FIFO) end, taking the shallow,
-//!   large-subtree tasks.
-//! * **One fork per worker.** Each worker owns a CoW fork of the base
-//!   instance (relation extensions and index snapshots are `Arc`-shared
-//!   until first touch) and *reconciles* it between tasks by applying the
-//!   set difference of the outgoing and incoming cumulative decision
-//!   deltas — O(Δ) instance work per task, never a rebuild.
-//! * **Deterministic join.** Fixpoints publish `(path, Δ, trace)` into a
-//!   shared collector. After the pool drains, candidates are sorted by
-//!   path — lexicographic path order *is* sequential depth-first discovery
-//!   order — so de-duplication and `≤_D`-minimisation see the exact
-//!   candidate sequence the sequential strategy produces, the minimal Δs
-//!   come out in the same order, and the final repair list is
-//!   byte-identical at every thread count (the property suite and the
-//!   50-run scheduling stress test pin this).
-//! * **Parallel post-search work.** Minimisation, materialisation
-//!   (base + Δ, sort-keyed, then merged in pinned order) and enumeration
-//!   CQA's per-repair evaluation fan out over the same worker count.
+//! The search, the post-search pipeline and enumeration CQA all run on the
+//! calling thread.
 //!
 //! The root violation scan — the one remaining O(instance) step — is
 //! cached across `repairs*` calls keyed by [`Instance::version`] and the
@@ -108,7 +72,7 @@
 
 use crate::cache::CqaCaches;
 use crate::error::{CoreError, InterruptPhase};
-use crate::repair::minimal_delta_indices_chunked;
+use crate::repair::minimal_delta_indices;
 use cqa_constraints::{
     violation_active, violations_touching, Constraint, IcSet, SatMode, Term, Violation,
     ViolationKind,
@@ -130,35 +94,6 @@ pub enum RepairSemantics {
     DeletionPreferring,
 }
 
-/// How the repair search runs: sequentially, or on a work-stealing pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchStrategy {
-    /// Delta-driven worklist: per-node cost scales with conflict size.
-    #[default]
-    Incremental,
-    /// The incremental worklist search distributed over a work-stealing
-    /// pool of `threads` workers (see the module docs' "Parallel search
-    /// architecture"). Output — repairs, traces, errors — is byte-identical
-    /// to [`SearchStrategy::Incremental`] at every thread count; `threads`
-    /// is clamped to at least 1.
-    Parallel {
-        /// Worker-thread count.
-        threads: usize,
-    },
-}
-
-impl SearchStrategy {
-    /// Worker count: 1 for the sequential search, `threads` (at least 1)
-    /// for the pool. Post-search work (minimisation, materialisation,
-    /// per-repair evaluation) fans out over the same count.
-    pub(crate) fn threads(self) -> usize {
-        match self {
-            SearchStrategy::Incremental => 1,
-            SearchStrategy::Parallel { threads } => threads.max(1),
-        }
-    }
-}
-
 /// Search configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RepairConfig {
@@ -167,8 +102,6 @@ pub struct RepairConfig {
     /// Maximum number of search nodes (branches are exponential in the
     /// number of interacting violations).
     pub node_budget: usize,
-    /// Sequential or parallel search.
-    pub strategy: SearchStrategy,
 }
 
 impl Default for RepairConfig {
@@ -176,7 +109,6 @@ impl Default for RepairConfig {
         RepairConfig {
             semantics: RepairSemantics::NullBased,
             node_budget: 1 << 22,
-            strategy: SearchStrategy::Incremental,
         }
     }
 }
@@ -250,8 +182,8 @@ pub fn repairs_with_trace(
 }
 
 /// [`repairs_with_trace`] against the caller's cache bundle and under a
-/// cancellation token. Every search node polls `cancel` (sequential and
-/// parallel strategies alike); a tripped token surfaces as
+/// cancellation token. Every search node polls `cancel`; a tripped token
+/// surfaces as
 /// [`CoreError::Interrupted`] with `phase = RepairSearch` and `partial`
 /// counting the candidate repairs collected before the interrupt.
 pub fn repairs_with_trace_governed(
@@ -262,24 +194,20 @@ pub fn repairs_with_trace_governed(
     cancel: &CancelToken,
 ) -> Result<Vec<TracedRepair>, CoreError> {
     let minimal = minimal_repair_deltas(d, ics, config, caches, cancel)?;
-    Ok(materialise(d, &minimal, config.strategy.threads()))
+    Ok(materialise(d, &minimal))
 }
 
 /// The repairs of `d` as Δ(D, repair), each with the trace that first
 /// found it: the search's candidates deduplicated and `≤_D`-minimised, in
-/// sequential depth-first discovery order at every thread count. Nothing
-/// is materialised, so callers that only need each repair's answers
-/// (enumeration CQA) apply each Δ to one working copy of `d` instead of
-/// building an instance per repair.
+/// depth-first discovery order. Nothing is materialised, so callers that
+/// only need each repair's answers (enumeration CQA) apply each Δ to one
+/// working copy of `d` instead of building an instance per repair.
 ///
-/// The search's candidates arrive in discovery order (the parallel
-/// scheduler sorts by branch path, which is the same order), so the trace
-/// kept for a duplicated delta — the first-found one — is identical
-/// across all strategies. Deduplication is by decision delta — against
-/// one base, equal deltas mean equal instances — and the search tracked
-/// each candidate's delta, so neither deduplication nor minimisation ever
-/// recomputes Δ(D, candidate) against the full instance: both are O(Δ)
-/// per comparison.
+/// Deduplication keeps the first-found trace of a duplicated delta, and
+/// is by decision delta — against one base, equal deltas mean equal
+/// instances. The search tracked each candidate's delta, so neither
+/// deduplication nor minimisation ever recomputes Δ(D, candidate) against
+/// the full instance: both are O(Δ) per comparison.
 pub(crate) fn minimal_repair_deltas(
     d: &Instance,
     ics: &IcSet,
@@ -290,36 +218,26 @@ pub(crate) fn minimal_repair_deltas(
     if config.semantics == RepairSemantics::NullBased && !ics.is_non_conflicting() {
         return Err(CoreError::ConflictingConstraints(ics.conflicting_pairs()));
     }
-    let threads = config.strategy.threads();
-    let candidates = match config.strategy {
-        SearchStrategy::Parallel { .. } => {
-            crate::parallel::search(d, ics, config, threads, caches, cancel)?
-        }
-        SearchStrategy::Incremental => {
-            let mut search = Search {
-                ics,
-                config,
-                nodes: 0,
-                candidates: Vec::new(),
-                cancel: cancel.clone(),
-            };
-            let mut work = d.clone();
-            let worklist = caches.worklist.root_worklist(&work, ics);
-            let (decisions, trace) = (&mut BTreeMap::new(), &mut Vec::new());
-            search.run_incremental(&mut work, worklist, None, decisions, trace)?;
-            search.candidates
-        }
+    let mut search = Search {
+        ics,
+        config,
+        nodes: 0,
+        candidates: Vec::new(),
+        cancel: cancel.clone(),
     };
+    let mut work = d.clone();
+    let worklist = caches.worklist.root_worklist(&work, ics);
+    let (decisions, trace) = (&mut BTreeMap::new(), &mut Vec::new());
+    search.run_incremental(&mut work, worklist, None, decisions, trace)?;
     let mut unique: Vec<(Delta, Vec<RepairStep>)> = Vec::new();
     let mut seen: BTreeSet<Delta> = BTreeSet::new();
-    for (delta, steps) in candidates {
+    for (delta, steps) in search.candidates {
         if seen.insert(delta.clone()) {
             unique.push((delta, steps));
         }
     }
     let deltas: Vec<Delta> = unique.iter().map(|(dl, _)| dl.clone()).collect();
-    let keep = minimal_delta_indices_chunked(&deltas, threads);
-    let mut keep = keep.into_iter().peekable();
+    let mut keep = minimal_delta_indices(&deltas).into_iter().peekable();
     Ok(unique
         .into_iter()
         .enumerate()
@@ -330,27 +248,21 @@ pub(crate) fn minimal_repair_deltas(
 
 /// Materialise the minimal repairs (base + Δ) and pin the public order:
 /// by atom list. Distinct repairs have distinct atom lists (equal-delta
-/// candidates were deduplicated), so the order is total regardless of how
-/// the keyed pairs were produced. The copy-on-write `apply_delta` per
-/// repair is fanned out over `threads` scoped workers when the parallel
-/// strategy is active: with hundreds of repairs over a large base it is
-/// the dominant serial tail.
-fn materialise(
-    d: &Instance,
-    minimal: &[(Delta, Vec<RepairStep>)],
-    threads: usize,
-) -> Vec<TracedRepair> {
-    let mut keyed = crate::parallel::chunked_map(minimal.len(), threads, |i| {
-        let (delta, steps) = &minimal[i];
-        let mut instance = d.clone();
-        instance.apply_delta(delta);
-        let key: Vec<DatabaseAtom> = instance.atoms().collect();
-        let repair = TracedRepair {
-            instance,
-            steps: steps.clone(),
-        };
-        (key, repair)
-    });
+/// candidates were deduplicated), so the order is total.
+fn materialise(d: &Instance, minimal: &[(Delta, Vec<RepairStep>)]) -> Vec<TracedRepair> {
+    let mut keyed: Vec<(Vec<DatabaseAtom>, TracedRepair)> = minimal
+        .iter()
+        .map(|(delta, steps)| {
+            let mut instance = d.clone();
+            instance.apply_delta(delta);
+            let key: Vec<DatabaseAtom> = instance.atoms().collect();
+            let repair = TracedRepair {
+                instance,
+                steps: steps.clone(),
+            };
+            (key, repair)
+        })
+        .collect();
     keyed.sort_by(|a, b| a.0.cmp(&b.0));
     keyed.into_iter().map(|(_, repair)| repair).collect()
 }
@@ -358,7 +270,7 @@ fn materialise(
 /// The symmetric difference a decision set denotes: decisions never flip
 /// and inserts/deletes are only ever applied to absent/present atoms, so
 /// the decision map *is* Δ(D, current) at every fixpoint.
-pub(crate) fn delta_of(decisions: &BTreeMap<DatabaseAtom, RepairAction>) -> Delta {
+fn delta_of(decisions: &BTreeMap<DatabaseAtom, RepairAction>) -> Delta {
     let mut delta = Delta::default();
     for (atom, decision) in decisions {
         match decision {
@@ -425,7 +337,7 @@ impl Search<'_> {
             self.candidates.push((delta_of(decisions), trace.clone()));
             return Ok(());
         };
-        for (_, delta, step) in branches {
+        for (delta, step) in branches {
             let atom = step.atom.clone();
             let fresh = !decisions.contains_key(&atom);
             if fresh {
@@ -445,20 +357,18 @@ impl Search<'_> {
     }
 }
 
-/// One viable fix of a node's live violation: its index in
-/// [`fixes_for`]'s list (the parallel branch-path component), its
-/// single-atom delta and the step the trace records.
-pub(crate) type Branch = (usize, Delta, RepairStep);
+/// One viable fix of a node's live violation: its single-atom delta and
+/// the step the trace records.
+type Branch = (Delta, RepairStep);
 
-/// Expand one search node — everything the sequential driver and the
-/// parallel scheduler do alike. Extend the inherited `worklist` with the
+/// Expand one search node. Extend the inherited `worklist` with the
 /// violations touching `touch` (the delta that created the node, already
 /// applied to `current`; `None` at the root), then revalidate it lazily
 /// until one violation is live. `None` means none is: the node is a
 /// consistent fixpoint. Otherwise return the live violation's viable
 /// branches in fix order and the rest of the worklist, which every child
 /// inherits.
-pub(crate) fn expand(
+fn expand(
     current: &Instance,
     ics: &IcSet,
     semantics: RepairSemantics,
@@ -479,10 +389,7 @@ pub(crate) fn expand(
     let rest: Vec<Violation> = pending.collect();
     let constraint = ics.constraints()[violation.constraint_index].name();
     let mut branches = Vec::new();
-    for (index, fix) in fixes_for(ics, semantics, &violation)
-        .into_iter()
-        .enumerate()
-    {
+    for fix in fixes_for(ics, semantics, &violation) {
         let (action, atom) = match fix {
             Fix::Delete(atom) => (RepairAction::Delete, atom),
             Fix::Insert(atom) => (RepairAction::Insert, atom),
@@ -507,14 +414,13 @@ pub(crate) fn expand(
             action,
             atom,
         };
-        branches.push((index, delta, step));
+        branches.push((delta, step));
     }
     Some((branches, rest))
 }
 
 /// The minimal fixes for a violation, in deterministic order: deletions
-/// (body order), then insertions (head order). The fix *index* within this
-/// list is the branch-path component that pins parallel output order.
+/// (body order), then insertions (head order).
 fn fixes_for(ics: &IcSet, semantics: RepairSemantics, violation: &Violation) -> Vec<Fix> {
     let mut out: Vec<Fix> = Vec::new();
     match &violation.kind {
@@ -567,7 +473,7 @@ fn insert_violates_nnc(ics: &IcSet, atom: &DatabaseAtom) -> bool {
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Fix {
+enum Fix {
     Delete(DatabaseAtom),
     Insert(DatabaseAtom),
 }
@@ -811,19 +717,6 @@ mod tests {
         .unwrap();
         // Rep_d: only the deletion repair {P(b), Q(b,c)}.
         assert_eq!(sets(&reps), vec!["{P(b), Q(b, c)}".to_string()]);
-        // The deletion-preferring semantics go through the parallel
-        // scheduler unchanged (conflicting sets are accepted there too).
-        let parallel = repairs(
-            &d,
-            &ics,
-            RepairConfig {
-                semantics: RepairSemantics::DeletionPreferring,
-                strategy: SearchStrategy::Parallel { threads: 2 },
-                ..RepairConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(parallel, reps);
     }
 
     #[test]
@@ -934,141 +827,6 @@ mod tests {
         let actions: Vec<RepairAction> = traced.iter().map(|t| t.steps[0].action).collect();
         assert!(actions.contains(&RepairAction::Insert));
         assert!(actions.contains(&RepairAction::Delete));
-    }
-
-    #[test]
-    fn incremental_and_parallel_strategies_agree() {
-        // Same repairs from the sequential worklist search and the
-        // work-stealing pool, across the paper's interacting-constraint
-        // shapes.
-        let sc = Schema::builder()
-            .relation("P", ["a", "b"])
-            .relation("T", ["t"])
-            .finish()
-            .unwrap()
-            .into_shared();
-        let d = inst(
-            &sc,
-            &[
-                ("P", vec![s("a"), s("b")]),
-                ("P", vec![null(), s("a")]),
-                ("T", vec![s("c")]),
-            ],
-        );
-        let uic = Ic::builder(&sc, "uic")
-            .body_atom("P", [v("x"), v("y")])
-            .head_atom("T", [v("x")])
-            .finish()
-            .unwrap();
-        let ric = Ic::builder(&sc, "ric")
-            .body_atom("T", [v("x")])
-            .head_atom("P", [v("y"), v("x")])
-            .finish()
-            .unwrap();
-        let ics = IcSet::new([Constraint::from(uic), Constraint::from(ric)]);
-        let incremental = repairs(&d, &ics, RepairConfig::default()).unwrap();
-        assert_eq!(incremental.len(), 4);
-        for threads in [1usize, 2, 4] {
-            let parallel = repairs(
-                &d,
-                &ics,
-                RepairConfig {
-                    strategy: SearchStrategy::Parallel { threads },
-                    ..RepairConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(parallel, incremental, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_traces_match_sequential() {
-        // Traces, not just instances: the first-found trace kept on
-        // deduplication must survive the path-sorted parallel join.
-        let sc = Schema::builder()
-            .relation("Course", ["ID", "Code"])
-            .relation("Student", ["ID", "Name"])
-            .finish()
-            .unwrap()
-            .into_shared();
-        let d = inst(
-            &sc,
-            &[
-                ("Course", vec![s("34"), s("C18")]),
-                ("Course", vec![s("77"), s("C3")]),
-                ("Student", vec![s("21"), s("Ann")]),
-            ],
-        );
-        let ric = Ic::builder(&sc, "enrolled")
-            .body_atom("Course", [v("id"), v("code")])
-            .head_atom("Student", [v("id"), v("name")])
-            .finish()
-            .unwrap();
-        let ics = IcSet::new([Constraint::from(ric)]);
-        let sequential = repairs_with_trace(&d, &ics, RepairConfig::default()).unwrap();
-        for threads in [1usize, 3] {
-            let parallel = repairs_with_trace(
-                &d,
-                &ics,
-                RepairConfig {
-                    strategy: SearchStrategy::Parallel { threads },
-                    ..RepairConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_budget_exceeded_reported() {
-        let sc = Schema::builder()
-            .relation("P", ["a"])
-            .relation("Q", ["x"])
-            .finish()
-            .unwrap()
-            .into_shared();
-        let mut d = Instance::empty(sc.clone());
-        for i in 0..6 {
-            d.insert_named("P", [s(&format!("v{i}"))]).unwrap();
-        }
-        let ic = Ic::builder(&sc, "incl")
-            .body_atom("P", [v("x")])
-            .head_atom("Q", [v("x")])
-            .finish()
-            .unwrap();
-        let ics = IcSet::new([Constraint::from(ic)]);
-        let err = repairs(
-            &d,
-            &ics,
-            RepairConfig {
-                node_budget: 3,
-                strategy: SearchStrategy::Parallel { threads: 4 },
-                ..RepairConfig::default()
-            },
-        );
-        assert!(matches!(err, Err(CoreError::BudgetExceeded { .. })));
-    }
-
-    #[test]
-    fn parallel_zero_threads_clamps_to_one() {
-        let sc = Schema::builder()
-            .relation("P", ["a", "b"])
-            .finish()
-            .unwrap()
-            .into_shared();
-        let d = inst(&sc, &[("P", vec![s("a"), null()])]);
-        let reps = repairs(
-            &d,
-            &IcSet::default(),
-            RepairConfig {
-                strategy: SearchStrategy::Parallel { threads: 0 },
-                ..RepairConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(reps, vec![d]);
     }
 
     #[test]

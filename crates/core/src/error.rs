@@ -45,13 +45,6 @@ pub enum CoreError {
         /// Sound intermediate results completed before the interrupt.
         partial: usize,
     },
-    /// A worker thread of the parallel repair search panicked. The pool
-    /// shut down cleanly (siblings drained, no lock poisoned from the
-    /// caller's view) and remains usable for subsequent calls.
-    WorkerPanic {
-        /// The panic payload, if it was a string.
-        message: String,
-    },
 }
 
 /// Which engine loop a [`CoreError::Interrupted`] surfaced from, and what
@@ -110,9 +103,6 @@ impl fmt::Display for CoreError {
                     f,
                     "interrupted during {phase} ({partial} sound partial results)"
                 )
-            }
-            CoreError::WorkerPanic { message } => {
-                write!(f, "parallel repair-search worker panicked: {message}")
             }
         }
     }

@@ -46,7 +46,6 @@ pub mod cqa;
 pub mod engine;
 pub mod error;
 pub mod nonconflict;
-pub mod parallel;
 pub mod plan;
 pub mod program;
 pub mod query;
@@ -62,20 +61,17 @@ pub use cqa::{
     consistent_answers_governed, consistent_answers_via_program,
     consistent_answers_via_program_governed, AnswerSet,
 };
-pub use cqa_asp::{SolveOptions, SolverStateStats};
+pub use cqa_asp::SolverStateStats;
 pub use engine::{
     repairs, repairs_with_config_governed, repairs_with_trace, repairs_with_trace_governed,
-    RepairAction, RepairConfig, RepairSemantics, RepairStep, SearchStrategy, TracedRepair,
+    RepairAction, RepairConfig, RepairSemantics, RepairStep, TracedRepair,
 };
 pub use error::{CoreError, InterruptPhase};
 pub use plan::{plan_query, DeclineReason, PlanRoute, PlannerCounters, PlannerStats, QueryPlan};
 pub use program::{
     repair_program, repair_program_with, repairs_via_program, repairs_via_program_governed,
-    repairs_via_program_solved, ProgramStyle,
+    repairs_via_program_solved, ProgramStyle, SolveOptions,
 };
 pub use query::{AnswerSemantics, QueryNullSemantics};
 pub use query::{ConjunctiveQuery, Query, QueryBuilder};
-pub use repair::{
-    is_repair, leq_d, lt_d, minimal_delta_indices, minimal_delta_indices_chunked,
-    minimize_candidates,
-};
+pub use repair::{is_repair, leq_d, lt_d, minimal_delta_indices, minimize_candidates};

@@ -71,7 +71,6 @@ use crate::cache::CqaCaches;
 use crate::error::{CoreError, InterruptPhase};
 use cqa_asp::{
     atom, cmp, neg, pos, resolve_on_state, tc, tv, AspError, AtomSpec, BodyLit, BuiltinOp, Program,
-    SolveOptions,
 };
 use cqa_constraints::{classify::classify, Constraint, Ic, IcClass, IcSet, Term};
 use cqa_relational::{CancelToken, DatabaseAtom, Instance, RelId, Schema, Tuple, Value};
@@ -500,8 +499,13 @@ pub fn repairs_via_program(
 /// cancellation token. Grounding goes through the bundle's
 /// [`crate::cache::GroundingCache`]: a repeat call over an unchanged
 /// instance reuses the ground program, and any bounded drift —
-/// insertions, deletions, or both — regrounds incrementally. The token is
-/// polled by the grounding loops ([`CoreError::Interrupted`] with
+/// insertions, deletions, or both — regrounds incrementally. The stable
+/// models come from the incremental resolve path: the ground program is
+/// split into connected components, unchanged components are answered
+/// from the [`cqa_asp::SolverState`] paired with the cached grounding,
+/// and only changed components are re-solved (reusing learned clauses
+/// whose rule premises survived). The token is polled by the grounding
+/// loops ([`CoreError::Interrupted`] with
 /// `Grounding`), the CDCL stable-model enumeration, and the per-model
 /// extraction (both `ModelEnumeration`, `partial` counting models fully
 /// processed).
@@ -513,40 +517,13 @@ pub fn repairs_via_program_governed(
     caches: &CqaCaches,
     cancel: &CancelToken,
 ) -> Result<Vec<Instance>, CoreError> {
-    repairs_via_program_solved(
-        d,
-        ics,
-        style,
-        prune_untouched,
-        SolveOptions::default(),
-        caches,
-        cancel,
-    )
-}
-
-/// [`repairs_via_program_governed`] with explicit [`SolveOptions`]: the
-/// stable models come from the *incremental* resolve path — the ground
-/// program is split into connected components, unchanged components are
-/// answered from the [`cqa_asp::SolverState`] paired with the cached
-/// grounding, and only changed components are re-solved (reusing learned
-/// clauses whose rule premises survived). The repair set is identical to
-/// the scratch enumeration at every thread count.
-pub fn repairs_via_program_solved(
-    d: &Instance,
-    ics: &IcSet,
-    style: ProgramStyle,
-    prune_untouched: bool,
-    opts: SolveOptions,
-    caches: &CqaCaches,
-    cancel: &CancelToken,
-) -> Result<Vec<Instance>, CoreError> {
     let (state, solver) =
         caches
             .grounding
             .entry_for_governed(d, ics, style, prune_untouched, cancel)?;
     let gp = state.ground_program();
     let mut solver = solver.lock().expect("solver state lock");
-    let models = resolve_on_state(&state, &mut solver, opts, cancel).map_err(|e| match e {
+    let models = resolve_on_state(&state, &mut solver, cancel).map_err(|e| match e {
         AspError::Interrupted { partial, .. } => CoreError::Interrupted {
             phase: InterruptPhase::ModelEnumeration,
             partial,
@@ -577,6 +554,27 @@ pub fn repairs_via_program_solved(
     keyed.sort_by(|a, b| a.0.cmp(&b.0));
     keyed.dedup_by(|a, b| a.0 == b.0);
     Ok(keyed.into_iter().map(|(_, inst)| inst).collect())
+}
+
+/// The argument type of [`repairs_via_program_solved`]. It has no field:
+/// the program route solves on the calling thread. Kept so that
+/// `perfbench/`, which calls [`repairs_via_program_solved`] with
+/// `SolveOptions::default()`, builds unchanged.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SolveOptions;
+
+/// [`repairs_via_program_governed`]; `SolveOptions` selects nothing. Kept
+/// for `perfbench/`'s call, like [`SolveOptions`].
+pub fn repairs_via_program_solved(
+    d: &Instance,
+    ics: &IcSet,
+    style: ProgramStyle,
+    prune_untouched: bool,
+    _opts: SolveOptions,
+    caches: &CqaCaches,
+    cancel: &CancelToken,
+) -> Result<Vec<Instance>, CoreError> {
+    repairs_via_program_governed(d, ics, style, prune_untouched, caches, cancel)
 }
 
 #[cfg(test)]

@@ -121,26 +121,14 @@ pub fn is_repair(base: &Instance, candidate: &Instance, ics: &IcSet) -> Result<b
 /// Callers that know each candidate's decision delta (the incremental
 /// repair search does) skip recomputing Δ(D, candidate) entirely.
 pub fn minimal_delta_indices(deltas: &[Delta]) -> Vec<usize> {
-    minimal_delta_indices_chunked(deltas, 1)
-}
-
-/// [`minimal_delta_indices`] with the candidate axis chunked over
-/// `threads` scoped workers. Minimality of one candidate is independent
-/// of every other verdict — each worker scans the full pool for
-/// dominators of its own chunk — so the result is the same ascending
-/// index list at every thread count; the parallel repair engine calls
-/// this to keep `≤_D`-minimisation off its serial tail.
-pub fn minimal_delta_indices_chunked(deltas: &[Delta], threads: usize) -> Vec<usize> {
-    let minimal = |i: usize| {
-        let di = &deltas[i];
-        !deltas
-            .iter()
-            .enumerate()
-            .any(|(j, dj)| i != j && leq_d_deltas(dj, di) && !leq_d_deltas(di, dj))
-    };
-    crate::parallel::chunked_map(deltas.len(), threads, |i| minimal(i).then_some(i))
-        .into_iter()
-        .flatten()
+    (0..deltas.len())
+        .filter(|&i| {
+            let di = &deltas[i];
+            !deltas
+                .iter()
+                .enumerate()
+                .any(|(j, dj)| i != j && leq_d_deltas(dj, di) && !leq_d_deltas(di, dj))
+        })
         .collect()
 }
 

@@ -114,16 +114,6 @@ impl ColumnIndex {
         self.map.get(value).unwrap_or_else(|| empty_set())
     }
 
-    /// Number of tuples matching `value` (0 on a miss).
-    pub fn selectivity(&self, value: &Value) -> usize {
-        self.map.get(value).map_or(0, BTreeSet::len)
-    }
-
-    /// Number of distinct values in the indexed column.
-    pub fn distinct_values(&self) -> usize {
-        self.map.len()
-    }
-
     /// Total tuples indexed (for consistency checks in tests).
     pub fn len(&self) -> usize {
         self.map.values().map(BTreeSet::len).sum()
@@ -281,16 +271,6 @@ impl CompositeIndex {
     pub fn probe_values(&self, values: &[Value]) -> &BTreeSet<Tuple> {
         debug_assert_eq!(values.len(), self.cols.len());
         self.probe(&ColsKey::new(values))
-    }
-
-    /// Number of tuples matching `key` (0 on a miss).
-    pub fn selectivity(&self, key: &ColsKey) -> usize {
-        self.map.get(key).map_or(0, BTreeSet::len)
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
     }
 
     /// Total tuples indexed (for consistency checks in tests).
@@ -558,8 +538,9 @@ mod tests {
         assert_eq!(ix.probe(&s("x")).len(), 2);
         assert_eq!(ix.probe(&s("y")).len(), 1);
         assert!(ix.probe(&s("z")).is_empty());
-        assert_eq!(ix.distinct_values(), 2);
         assert_eq!(ix.len(), 3);
+        // `x` and `y` hold every indexed tuple: no third value.
+        assert_eq!(ix.probe(&s("x")).len() + ix.probe(&s("y")).len(), ix.len());
     }
 
     #[test]
@@ -639,8 +620,12 @@ mod tests {
         assert_eq!(ix.probe_values(&[s("x"), i(1)]).len(), 2);
         assert_eq!(ix.probe_values(&[s("x"), i(2)]).len(), 1);
         assert!(ix.probe_values(&[s("y"), i(2)]).is_empty());
-        assert_eq!(ix.distinct_keys(), 3);
+        assert_eq!(ix.probe_values(&[s("y"), i(1)]).len(), 1);
         assert_eq!(ix.len(), 4);
+        // The three keys hold every indexed tuple: no fourth key.
+        let keys = [[s("x"), i(1)], [s("x"), i(2)], [s("y"), i(1)]];
+        let held: usize = keys.iter().map(|k| ix.probe_values(k).len()).sum();
+        assert_eq!(held, ix.len());
     }
 
     #[test]

@@ -17,18 +17,18 @@ use std::sync::Arc;
 
 /// Compile-time witness that `T` may cross a thread boundary. Used in
 /// `const` blocks so a type losing `Send` fails the *build*, not a test:
-/// the parallel repair search moves deltas, tasks and candidate repairs
-/// between worker threads.
+/// callers move a `Database` (and the `Instance` and `IcSet` inside it)
+/// to another thread, as `tests/cancellation.rs` does.
 pub const fn assert_send<T: Send>() {}
 
-/// Compile-time witness that `&T` may be shared across threads. The
-/// parallel search shares the base instance and constraint set by
-/// reference from every worker.
+/// Compile-time witness that `&T` may be shared across threads: callers
+/// share a `Database`'s `Instance` and `IcSet` between threads by
+/// reference.
 pub const fn assert_sync<T: Sync>() {}
 
-// The relational substrate must stay thread-safe: branch deltas are
-// work-stealing task payloads and forked instances live one-per-worker,
-// probing their (lazily built, `RwLock`-guarded) index registries.
+// The relational substrate must stay thread-safe: callers share
+// instances across threads, and every clone probes its (lazily built,
+// `RwLock`-guarded) index registries.
 const _: () = {
     assert_send::<Delta>();
     assert_sync::<Delta>();
@@ -41,17 +41,6 @@ const _: () = {
     assert_send::<Value>();
     assert_sync::<Value>();
 };
-
-/// Worker-thread count for tests that exercise the parallel repair
-/// strategy: `CQA_TEST_THREADS` when set and parseable (the CI matrix
-/// runs the suite at 1 and 4), otherwise `default`.
-pub fn env_threads(default: usize) -> usize {
-    std::env::var("CQA_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 /// A tiny deterministic xorshift64* PRNG.
 #[derive(Debug, Clone)]
@@ -143,20 +132,6 @@ pub fn random_instance(
 mod tests {
     use super::*;
     use crate::Schema;
-
-    #[test]
-    fn env_threads_falls_back_to_default() {
-        // The test runner may or may not set CQA_TEST_THREADS; both
-        // outcomes must be positive thread counts.
-        let n = env_threads(4);
-        assert!(n >= 1);
-        match std::env::var("CQA_TEST_THREADS") {
-            Ok(v) if v.parse::<usize>().map(|p| p > 0).unwrap_or(false) => {
-                assert_eq!(n, v.parse::<usize>().unwrap());
-            }
-            _ => assert_eq!(n, 4),
-        }
-    }
 
     #[test]
     fn prng_is_deterministic() {

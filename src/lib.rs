@@ -168,8 +168,8 @@ impl From<cqa_relational::RelationalError> for Error {
 ///
 /// ## Cancellation and deadlines
 ///
-/// Every engine entry point — repair search (sequential and parallel),
-/// the Π(D, IC) program route, and both CQA pipelines — runs under a
+/// Every engine entry point — repair search, the Π(D, IC) program
+/// route, and both CQA pipelines — runs on the calling thread under a
 /// cooperative cancellation governor. [`Database::with_deadline`] bounds
 /// each call's wall-clock time; [`Database::cancel_handle`] hands out a
 /// [`CancelToken`] another thread can trip mid-call. An interrupted call

@@ -5,9 +5,9 @@
 //! This is the strongest correctness evidence for the repair semantics:
 //! the oracle implements Definitions 6–7 literally (every subset of the
 //! atom universe, filtered by `|=_N`, minimised under `≤_D`), with no
-//! shared code with the engine's search. `strategy_oracle.rs` holds the
-//! parallel strategy to the same oracle. Randomness is the workspace's
-//! deterministic [`XorShift`].
+//! shared code with the engine's search. A second pool adds the composite
+//! shapes: a composite-determinant FD and a composite referential IC.
+//! Randomness is the workspace's deterministic [`XorShift`].
 
 use cqa::constraints::{builders, v, Constraint, Ic, IcSet};
 use cqa::core::{bruteforce, repairs, RepairConfig};
@@ -78,14 +78,51 @@ fn instance(rng: &mut XorShift, sc: &Arc<Schema>) -> Instance {
     d
 }
 
-fn subset(rng: &mut XorShift, sc: &Schema) -> IcSet {
-    let mask = rng.below(32) as u8;
-    pool(sc)
-        .into_iter()
+/// A random subset of `pool`.
+fn subset(rng: &mut XorShift, pool: Vec<Constraint>) -> IcSet {
+    let mask = rng.below(1 << pool.len());
+    pool.into_iter()
         .enumerate()
         .filter(|(i, _)| mask & (1 << i) != 0)
         .map(|(_, c)| c)
         .collect()
+}
+
+/// [`schema`] plus a ternary `T`.
+fn composite_schema() -> Arc<Schema> {
+    Schema::builder()
+        .relation("P", ["a"])
+        .relation("R", ["x", "y"])
+        .relation("T", ["u", "v", "w"])
+        .finish()
+        .unwrap()
+        .into_shared()
+}
+
+/// The second pool: [`pool`] without its NNC, plus a composite-determinant
+/// FD and a composite referential IC.
+fn composite_pool(sc: &Schema) -> Vec<Constraint> {
+    let [ric, uic, key, _nnc, den] = <[Constraint; 5]>::try_from(pool(sc)).unwrap();
+    vec![
+        ric,
+        uic,
+        key,
+        // Composite-determinant FD: T[1,2] → T[3]
+        Constraint::from(builders::functional_dependency(sc, "T", &[0, 1], 2).unwrap()),
+        // Composite referential IC: T[1,2] → R[1,2]
+        Constraint::from(builders::foreign_key(sc, "T", &[0, 1], "R", &[0, 1]).unwrap()),
+        den,
+    ]
+}
+
+/// [`instance`] plus up to two `T` rows.
+fn composite_instance(rng: &mut XorShift, sc: &Arc<Schema>) -> Instance {
+    let mut d = instance(rng, sc);
+    for _ in 0..rng.below(3) {
+        d.insert_named("T", [value(rng), value(rng), value(rng)])
+            .unwrap();
+    }
+    d
 }
 
 #[test]
@@ -95,7 +132,7 @@ fn engine_equals_oracle() {
     let mut checked = 0;
     while checked < 48 {
         let d = instance(&mut rng, &sc);
-        let ics = subset(&mut rng, &sc);
+        let ics = subset(&mut rng, pool(&sc));
         let universe = bruteforce::candidate_universe(&d, &ics);
         if universe.len() > 14 {
             continue; // keep the oracle tractable
@@ -107,12 +144,30 @@ fn engine_equals_oracle() {
 }
 
 #[test]
+fn engine_equals_oracle_on_composite_constraints() {
+    let sc = composite_schema();
+    let mut rng = XorShift::new(411);
+    let mut checked = 0;
+    for _ in 0..40 {
+        let d = composite_instance(&mut rng, &sc);
+        let ics = subset(&mut rng, composite_pool(&sc));
+        if bruteforce::candidate_universe(&d, &ics).len() > 14 {
+            continue; // keep the oracle tractable
+        }
+        checked += 1;
+        let via_engine = repairs(&d, &ics, RepairConfig::default()).unwrap();
+        assert_eq!(via_engine, bruteforce::oracle_repairs(&d, &ics));
+    }
+    assert!(checked >= 5, "oracle cross-check starved: {checked} cases");
+}
+
+#[test]
 fn repairs_satisfy_invariants() {
     let sc = schema();
     let mut rng = XorShift::new(302);
     for _ in 0..48 {
         let d = instance(&mut rng, &sc);
-        let ics = subset(&mut rng, &sc);
+        let ics = subset(&mut rng, pool(&sc));
         let reps = repairs(&d, &ics, RepairConfig::default()).unwrap();
         // Non-empty (Proposition 1(b)).
         assert!(!reps.is_empty());

@@ -2,8 +2,7 @@
 //! stable models of the Definition-9 repair program (Corrected style)
 //! correspond one-to-one to the repairs found by the direct engine.
 //! CQA via cautious reasoning must likewise agree with CQA via repair
-//! intersection — including when the direct route fans repair search and
-//! answer intersection over the parallel pool (`CQA_TEST_THREADS`).
+//! intersection.
 //!
 //! The suite also pins the **incremental grounder**: regrounding a live
 //! [`GroundingState`] after random fact-delta sequences must produce a
@@ -21,10 +20,10 @@ use cqa::core::query::{qc, AnswerSemantics};
 use cqa::core::{
     consistent_answers, consistent_answers_enumerated_governed, consistent_answers_via_program,
     repair_program, repairs, repairs_via_program, AnswerSet, ConjunctiveQuery, CqaCaches,
-    ProgramStyle, Query, RepairConfig, SearchStrategy,
+    ProgramStyle, Query, RepairConfig,
 };
 use cqa::prelude::*;
-use cqa::relational::testing::{env_threads, XorShift};
+use cqa::relational::testing::XorShift;
 use cqa::relational::CancelToken;
 use std::sync::Arc;
 
@@ -132,16 +131,6 @@ fn theorem4_engine_equals_program() {
 fn cqa_direct_equals_cqa_via_program() {
     let sc = schema();
     let mut rng = XorShift::new(402);
-    // The direct route runs serially and across the parallel pool — the
-    // CI matrix pins CQA_TEST_THREADS ∈ {1, 4} — and every configuration
-    // must agree with cautious reasoning over the repair program.
-    let strategies = [
-        SearchStrategy::Incremental,
-        SearchStrategy::Parallel { threads: 1 },
-        SearchStrategy::Parallel {
-            threads: env_threads(4),
-        },
-    ];
     for _ in 0..48 {
         let d = instance(&mut rng, &sc);
         let ics = acyclic_subset(&mut rng, &sc);
@@ -159,66 +148,16 @@ fn cqa_direct_equals_cqa_via_program() {
             AnswerSemantics::IncludeNullAnswers,
         )
         .unwrap();
-        for strategy in strategies {
-            let direct = consistent_answers(
-                &d,
-                &ics,
-                &q,
-                RepairConfig {
-                    strategy,
-                    ..RepairConfig::default()
-                },
-                AnswerSemantics::IncludeNullAnswers,
-                QueryNullSemantics::NullAsValue,
-            )
-            .unwrap();
-            assert_eq!(direct, via_program, "strategy {strategy:?}");
-        }
-    }
-}
-
-#[test]
-fn parallel_intersection_matches_serial_across_semantics() {
-    // The chunked parallel answer intersection must be byte-identical to
-    // the serial loop under both answer-filtering modes and both query
-    // null semantics.
-    let sc = schema();
-    let mut rng = XorShift::new(405);
-    let threads = env_threads(4);
-    for _ in 0..24 {
-        let d = instance(&mut rng, &sc);
-        let ics = acyclic_subset(&mut rng, &sc);
-        let q: Query = ConjunctiveQuery::builder(&sc, "q", ["x", "y"])
-            .atom("R", [cqa::constraints::v("x"), cqa::constraints::v("y")])
-            .finish()
-            .unwrap()
-            .into();
-        for semantics in [
+        let direct = consistent_answers(
+            &d,
+            &ics,
+            &q,
+            RepairConfig::default(),
             AnswerSemantics::IncludeNullAnswers,
-            AnswerSemantics::ExcludeNullAnswers,
-        ] {
-            for qsem in [
-                cqa::core::QueryNullSemantics::NullAsValue,
-                cqa::core::QueryNullSemantics::SqlThreeValued,
-            ] {
-                let serial =
-                    consistent_answers(&d, &ics, &q, RepairConfig::default(), semantics, qsem)
-                        .unwrap();
-                let parallel = consistent_answers(
-                    &d,
-                    &ics,
-                    &q,
-                    RepairConfig {
-                        strategy: SearchStrategy::Parallel { threads },
-                        ..RepairConfig::default()
-                    },
-                    semantics,
-                    qsem,
-                )
-                .unwrap();
-                assert_eq!(serial, parallel, "{semantics:?} {qsem:?}");
-            }
-        }
+            QueryNullSemantics::NullAsValue,
+        )
+        .unwrap();
+        assert_eq!(direct, via_program);
     }
 }
 
@@ -300,10 +239,6 @@ fn delta_enumeration_equals_materialise_and_intersect() {
     let sc = schema();
     let queries = query_pool(&sc);
     let mut rng = XorShift::new(406);
-    let strategies = [
-        SearchStrategy::Incremental,
-        SearchStrategy::Parallel { threads: 4 },
-    ];
     let mut nonempty = 0;
     for round in 0..40 {
         let d = instance(&mut rng, &sc);
@@ -320,27 +255,18 @@ fn delta_enumeration_equals_materialise_and_intersect() {
                     let config = RepairConfig::default();
                     let want = materialise_and_intersect(&d, &ics, q, config, semantics, qsem);
                     nonempty += usize::from(!want.is_empty());
-                    for strategy in strategies {
-                        let config = RepairConfig {
-                            strategy,
-                            ..RepairConfig::default()
-                        };
-                        let got = consistent_answers_enumerated_governed(
-                            &d,
-                            &ics,
-                            q,
-                            config,
-                            semantics,
-                            qsem,
-                            &CqaCaches::new(),
-                            &CancelToken::never(),
-                        )
-                        .unwrap();
-                        assert_eq!(
-                            got, want,
-                            "round {round}, {strategy:?}, {semantics:?}, {qsem:?}, {q:?}"
-                        );
-                    }
+                    let got = consistent_answers_enumerated_governed(
+                        &d,
+                        &ics,
+                        q,
+                        config,
+                        semantics,
+                        qsem,
+                        &CqaCaches::new(),
+                        &CancelToken::never(),
+                    )
+                    .unwrap();
+                    assert_eq!(got, want, "round {round}, {semantics:?}, {qsem:?}, {q:?}");
                 }
             }
         }

@@ -6,19 +6,16 @@
 //! answer: after ANY churn sequence, resolving on the long-lived state
 //! must equal resolving on a fresh state, which in turn must equal the
 //! monolithic (unpartitioned) enumeration over the same ground program.
-//! The sweep runs at thread counts {1, `CQA_TEST_THREADS`} so the CI
-//! matrix exercises both the sequential path (portfolio minimality +
-//! warm-start chaining) and the partition fan-out.
 //!
 //! Randomness is the workspace's deterministic [`XorShift`]; the
 //! instance/constraint generators mirror `engine_vs_program.rs` so the
 //! solver sees the same Definition-9 shapes the grounder oracle pins.
 
-use cqa::asp::{resolve_on_state, stable_models_with, GroundingState, SolveOptions, SolverState};
+use cqa::asp::{resolve_on_state, stable_models_cancellable, GroundingState, SolverState};
 use cqa::constraints::{builders, graph, v, Constraint, Ic, IcSet};
 use cqa::core::{repair_program, ProgramStyle};
 use cqa::prelude::*;
-use cqa::relational::testing::{env_threads, XorShift};
+use cqa::relational::testing::XorShift;
 use cqa::CancelToken;
 use std::sync::Arc;
 
@@ -141,7 +138,6 @@ fn delta_aware_resolve_equals_fresh_resolve_under_churn() {
     let sc = schema();
     let mut rng = XorShift::new(501);
     let cancel = CancelToken::never();
-    let thread_counts = [1, env_threads(4)];
     for round in 0..10 {
         let d = instance(&mut rng, &sc);
         let ics = acyclic_subset(&mut rng, &sc);
@@ -151,20 +147,13 @@ fn delta_aware_resolve_equals_fresh_resolve_under_churn() {
             let mut live = SolverState::new();
             for step in 0..6 {
                 churn(&mut state, &mut rng, round, step);
-                for &threads in &thread_counts {
-                    let opts = SolveOptions { threads };
-                    let via_live = resolve_on_state(&state, &mut live, opts, &cancel).unwrap();
-                    let via_fresh =
-                        resolve_on_state(&state, &mut SolverState::new(), opts, &cancel).unwrap();
-                    assert_eq!(
-                        via_live, via_fresh,
-                        "round {round}, step {step}, {style:?}, threads {threads}"
-                    );
-                }
+                let via_live = resolve_on_state(&state, &mut live, &cancel).unwrap();
+                let via_fresh = resolve_on_state(&state, &mut SolverState::new(), &cancel).unwrap();
+                assert_eq!(via_live, via_fresh, "round {round}, step {step}, {style:?}");
             }
             // The long-lived state must actually have exercised the cache
-            // (every second resolve at the other thread count re-answers
-            // identical partitions), not vacuously agreed.
+            // (a churn step leaves most partitions as they were), not
+            // vacuously agreed.
             assert!(live.stats().partition_hits > 0, "round {round}, {style:?}");
         }
     }
@@ -174,34 +163,19 @@ fn delta_aware_resolve_equals_fresh_resolve_under_churn() {
 fn partitioned_resolve_equals_monolithic_over_constraint_pool() {
     // The splitting-theorem oracle at integration scale: per-component
     // solving + cartesian combination must reproduce the monolithic
-    // enumeration over every repair-program shape the pool generates,
-    // at both CI thread counts.
+    // enumeration over every repair-program shape the pool generates.
     let sc = schema();
     let mut rng = XorShift::new(502);
     let cancel = CancelToken::never();
-    let thread_counts = [1, env_threads(4)];
     for round in 0..16 {
         let d = instance(&mut rng, &sc);
         let ics = acyclic_subset(&mut rng, &sc);
         for style in [ProgramStyle::Corrected, ProgramStyle::PaperExact] {
             let program = repair_program(&d, &ics, style).unwrap();
             let state = GroundingState::new(&program);
-            let monolithic =
-                stable_models_with(state.ground_program(), SolveOptions::default(), &cancel)
-                    .unwrap();
-            for &threads in &thread_counts {
-                let partitioned = resolve_on_state(
-                    &state,
-                    &mut SolverState::new(),
-                    SolveOptions { threads },
-                    &cancel,
-                )
-                .unwrap();
-                assert_eq!(
-                    partitioned, monolithic,
-                    "round {round}, {style:?}, threads {threads}"
-                );
-            }
+            let monolithic = stable_models_cancellable(state.ground_program(), &cancel).unwrap();
+            let partitioned = resolve_on_state(&state, &mut SolverState::new(), &cancel).unwrap();
+            assert_eq!(partitioned, monolithic, "round {round}, {style:?}");
         }
     }
 }
