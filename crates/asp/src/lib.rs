@@ -44,7 +44,7 @@ pub use ground::{
     ground, ground_cancellable, AtomId, GroundAtom, GroundProgram, GroundRule, GroundingState,
 };
 pub use hcf::{is_hcf, shift};
-pub use resolve::{resolve_on_state, SolverState, SolverStateStats};
+pub use resolve::{resolve_on_state, ComponentModels, SolverState, SolverStateStats};
 pub use stable::{
     brave_consequences, cautious_consequences, cautious_consequences_cancellable, is_stable,
     is_stable_cancellable, stable_models, stable_models_cancellable,

@@ -10,17 +10,21 @@
 //! 1. **Partitioned solving.** The ground program is split into connected
 //!    components over shared atoms (union–find on the rule/atom incidence
 //!    graph). By the splitting theorem, the stable models of an
-//!    atom-disjoint union are exactly the unions of per-component stable
-//!    models, so each component is solved independently and the results
-//!    combined as a cartesian product. A one-fact delta usually touches
-//!    one component; the rest hit the cache below.
-//! 2. **Per-partition model cache.** Solved components are memoised under
-//!    their (sorted) rule content. The key is self-validating: identical
-//!    rule content has identical stable models, so entries never go stale
-//!    — retraction merely makes them unreachable until the content
-//!    reappears. Atom ids are stable for the lifetime of one
-//!    [`GroundingState`] (interning is monotone), which is exactly the
-//!    lifetime a `SolverState` is paired with.
+//!    atom-disjoint union are exactly the unions of one stable model per
+//!    component, so each component is solved independently and
+//!    [`resolve_on_state`] returns the model list of each component; it
+//!    never forms their cartesian product. A one-fact delta usually
+//!    touches one component; the rest hit the memo below.
+//! 2. **Memo of the current components.** Each component of the program
+//!    last resolved is memoised under its (sorted) rule content with its
+//!    stable models. The key is self-validating: identical rule content
+//!    has identical stable models. After each resolve the memo holds
+//!    exactly the current program's components: a component the resolve
+//!    did not meet (a delta removed it) is dropped, so the memo needs no
+//!    cap and no eviction policy.
+//!    Atom ids are stable for the lifetime of one [`GroundingState`]
+//!    (interning is monotone), which is exactly the lifetime a
+//!    `SolverState` is paired with.
 //! 3. **Learned-clause reuse.** Component solves run on the
 //!    premise-tagged encoding ([`crate::solve`], "Incremental solving
 //!    architecture"): every learned clause that survives conflict
@@ -35,8 +39,11 @@
 //!    ([`GroundingState::retractions_since`]) additionally tombstones
 //!    clauses whose premise rules were deleted, keeping the store small.
 //! 4. **Warm heuristics.** Saved phases and variable activities chain
-//!    across the coNP minimality sub-searches. The final model set is
-//!    sorted.
+//!    across the coNP minimality sub-searches. Each component's model
+//!    list is sorted; no sorted list of whole-program models is built.
+//!    Callers that want whole models form the product themselves (tests
+//!    and the `resolve_delta` bench); the program route reads each
+//!    component model's change to the database instead.
 
 use crate::error::AspError;
 use crate::ground::{AtomId, GroundRule, GroundingState};
@@ -45,6 +52,7 @@ use crate::stable::{encode_tagged, is_stable_warm, Model, Warm};
 use cqa_relational::{CancelToken, Cancelled};
 use std::collections::{HashMap, VecDeque};
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// Stored clauses are dropped beyond this many literals: long clauses
 /// prune little and cost the most to validate and re-inject.
@@ -53,14 +61,16 @@ const STORED_CLAUSE_MAX_LITS: usize = 24;
 const CLAUSE_STORE_CAP: usize = 2048;
 /// Cap on clauses harvested from a single component solve.
 const HARVEST_CAP: usize = 256;
-/// Cap on memoised components (least-recently-used beyond it).
-const MODEL_CACHE_CAP: usize = 8192;
+
+/// The stable models of one connected component of a ground program,
+/// sorted; shared with the [`SolverState`] memo that holds them.
+pub type ComponentModels = Arc<[Model]>;
 
 /// Counters of the incremental solver, in the same named-struct shape as
 /// the grounding- and worklist-cache statistics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SolverStateStats {
-    /// Component solves answered from the model cache.
+    /// Component solves answered from the model memo.
     pub partition_hits: u64,
     /// Component solves that ran the CDCL engine.
     pub partition_misses: u64,
@@ -102,28 +112,24 @@ pub(crate) struct StoredClause {
     markers: Vec<AtomId>,
 }
 
-/// Memoised stable models of one component, with an LRU stamp.
-#[derive(Debug, Clone)]
-struct ModelEntry {
-    models: Vec<Model>,
-    stamp: u64,
-}
-
 /// Persistent solver state paired with one [`GroundingState`]: the
-/// per-component model cache, the learned-clause store and the warm
+/// per-component model memo, the learned-clause store and the warm
 /// search heuristics that make [`resolve_on_state`] incremental. Create
 /// it once per grounding lineage and discard it whenever the grounding is
 /// rebuilt from scratch (atom ids restart there). `Clone` snapshots the
-/// whole state — caches, clause store, heuristics — so benchmarks and
+/// whole state — memo, clause store, heuristics — so benchmarks and
 /// speculative resolves can fork a warmed state without re-learning.
 #[derive(Debug, Clone)]
 pub struct SolverState {
     /// High-water mark of [`GroundingState::retraction_seq`] processed.
     synced_seq: u64,
-    models: HashMap<Vec<GroundRule>, ModelEntry>,
+    /// The components of the program last resolved, by rule content,
+    /// each with the resolve that last met it.
+    models: HashMap<Vec<GroundRule>, (ComponentModels, u64)>,
+    /// Resolves run so far.
+    resolves: u64,
     clauses: VecDeque<StoredClause>,
     warm: Warm,
-    stamp: u64,
     stats: SolverStateStats,
 }
 
@@ -135,7 +141,7 @@ impl SolverState {
             models: HashMap::new(),
             clauses: VecDeque::new(),
             warm: Warm::default(),
-            stamp: 0,
+            resolves: 0,
             stats: SolverStateStats::default(),
         }
     }
@@ -168,22 +174,6 @@ impl SolverState {
             }
         }
         self.synced_seq = seq;
-    }
-
-    /// Evict past the caps: FIFO for clauses, LRU for memoised models.
-    fn evict(&mut self) {
-        while self.clauses.len() > CLAUSE_STORE_CAP {
-            self.clauses.pop_front();
-        }
-        while self.models.len() > MODEL_CACHE_CAP {
-            let oldest = self
-                .models
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map over cap");
-            self.models.remove(&oldest);
-        }
     }
 }
 
@@ -422,125 +412,75 @@ pub(crate) fn solve_partition(
 }
 
 /// Stable models of the grounding's current program through the
-/// persistent [`SolverState`]: partition, reuse, solve only what changed.
+/// persistent [`SolverState`], one list per connected component:
+/// partition, reuse, solve only what changed.
 ///
-/// The result is exactly [`crate::stable::stable_models`] of
-/// [`GroundingState::ground_program`] — the same sorted model set — but a
-/// delta that touches one component re-solves only that component. Do not
-/// call on a poisoned grounding (its ground program is partial); rebuild
-/// both states instead.
+/// The stable models of the whole program are exactly the unions of one
+/// model from each component's list ([`crate::stable::stable_models`] of
+/// [`GroundingState::ground_program`] is that product, sorted), but the
+/// product is not formed here. A component with no model means the
+/// program has none; no component at all means its one model is empty.
+/// A delta that touches one component re-solves only that component.
+/// Do not call on a poisoned grounding (its ground program is partial);
+/// rebuild both states instead.
 pub fn resolve_on_state(
     gs: &GroundingState,
     ss: &mut SolverState,
     cancel: &CancelToken,
-) -> Result<Vec<Model>, AspError> {
+) -> Result<Vec<ComponentModels>, AspError> {
     let gp = gs.ground_program();
     ss.sync_retractions(gs);
-    ss.stamp += 1;
-    let stamp = ss.stamp;
-
     let Some(partitions) = partition_rules(&gp.rules) else {
-        return Ok(Vec::new());
+        ss.models.clear();
+        return Ok(vec![ComponentModels::from(Vec::new())]);
     };
+    ss.resolves += 1;
+    let now = ss.resolves;
 
-    // Split cache hits from misses.
-    let mut per_partition: Vec<Option<Vec<Model>>> = vec![None; partitions.len()];
-    let mut misses: Vec<usize> = Vec::new();
-    for (i, part) in partitions.iter().enumerate() {
-        if let Some(entry) = ss.models.get_mut(part) {
-            entry.stamp = stamp;
-            ss.stats.partition_hits += 1;
-            per_partition[i] = Some(entry.models.clone());
-        } else {
-            ss.stats.partition_misses += 1;
-            misses.push(i);
-        }
-    }
-
-    let mut solved: Vec<(usize, Vec<Model>, Vec<StoredClause>, u64)> = Vec::new();
+    // One pass in component order: a memo hit is stamped with this
+    // resolve, a miss is solved unless the token already tripped. Then
+    // the memo drops every component this resolve did not meet, so it
+    // holds exactly the current program's components — also on the
+    // interrupted path, where solved components are valid and make the
+    // retry cheaper. Clauses harvested in the pass join the store after
+    // it, for later resolves.
+    let mut components: Vec<ComponentModels> = Vec::with_capacity(partitions.len());
+    let mut harvest: Vec<StoredClause> = Vec::new();
     let mut interrupted = false;
-    for &i in &misses {
-        match solve_partition(&partitions[i], &ss.clauses, &mut ss.warm, cancel) {
-            Ok((models, harvested, reused)) => solved.push((i, models, harvested, reused)),
-            Err(Cancelled) => {
-                interrupted = true;
-                break;
+    for part in partitions {
+        if let Some((models, met)) = ss.models.get_mut(&part) {
+            ss.stats.partition_hits += 1;
+            *met = now;
+            components.push(models.clone());
+            continue;
+        }
+        ss.stats.partition_misses += 1;
+        if interrupted {
+            continue;
+        }
+        match solve_partition(&part, &ss.clauses, &mut ss.warm, cancel) {
+            Ok((models, harvested, reused)) => {
+                ss.stats.learned_reused += reused;
+                harvest.extend(harvested);
+                let models = ComponentModels::from(models);
+                ss.models.insert(part, (models.clone(), now));
+                components.push(models);
             }
+            Err(Cancelled) => interrupted = true,
         }
     }
-
-    // Merge results into the state (also on the interrupted path: solved
-    // components are valid and make the retry cheaper).
-    for (i, models, harvested, reused) in solved {
-        ss.stats.learned_reused += reused;
-        for sc in harvested {
-            ss.clauses.push_back(sc);
-        }
-        ss.models.insert(
-            partitions[i].clone(),
-            ModelEntry {
-                models: models.clone(),
-                stamp,
-            },
-        );
-        per_partition[i] = Some(models);
+    ss.models.retain(|_, (_, met)| *met == now);
+    ss.clauses.extend(harvest);
+    while ss.clauses.len() > CLAUSE_STORE_CAP {
+        ss.clauses.pop_front();
     }
-    ss.evict();
     if interrupted {
         return Err(AspError::Interrupted {
             phase: "incremental stable-model resolve",
-            partial: per_partition.iter().flatten().count(),
+            partial: components.len(),
         });
     }
-
-    // Cartesian combination (splitting theorem), then global sort. The
-    // product can dwarf the per-partition solves (k components with m
-    // models each combine into m^k rows), so the governor is polled here
-    // too — partitioned solving must not *reduce* cancellation latency.
-    let mut combined: Vec<Model> = vec![Model::new()];
-    for models in per_partition {
-        let models = models.expect("uninterrupted resolve solved every partition");
-        if cancel.check().is_err() {
-            return Err(AspError::Interrupted {
-                phase: "incremental stable-model resolve",
-                partial: combined.len(),
-            });
-        }
-        match models.len() {
-            0 => {
-                combined.clear();
-                break; // a modelless component sinks the whole program
-            }
-            // The common (deterministic-component) case: append in place
-            // instead of re-cloning every accumulated prefix — with k
-            // singleton components the naive product is Θ(k²) in total
-            // atoms copied, which dwarfs the solves themselves.
-            1 => {
-                for base in &mut combined {
-                    base.extend(models[0].iter().copied());
-                }
-            }
-            _ => {
-                let mut next = Vec::with_capacity(combined.len().saturating_mul(models.len()));
-                for base in &combined {
-                    if cancel.check().is_err() {
-                        return Err(AspError::Interrupted {
-                            phase: "incremental stable-model resolve",
-                            partial: next.len(),
-                        });
-                    }
-                    for m in &models {
-                        let mut u = base.clone();
-                        u.extend(m.iter().copied());
-                        next.push(u);
-                    }
-                }
-                combined = next;
-            }
-        }
-    }
-    combined.sort();
-    Ok(combined)
+    Ok(components)
 }
 
 #[cfg(test)]
@@ -571,9 +511,27 @@ mod tests {
         p
     }
 
+    /// The whole-program models: one model from each component, united,
+    /// over every choice, sorted.
+    fn whole(components: &[ComponentModels]) -> Vec<Model> {
+        let mut out = vec![Model::new()];
+        for models in components {
+            out = out
+                .iter()
+                .flat_map(|base| models.iter().map(|m| base.union(m).copied().collect()))
+                .collect();
+        }
+        out.sort();
+        out
+    }
+
+    /// [`resolve_on_state`]'s whole-program models.
+    fn resolve(gs: &GroundingState, ss: &mut SolverState, cancel: &CancelToken) -> Vec<Model> {
+        whole(&resolve_on_state(gs, ss, cancel).unwrap())
+    }
+
     fn resolve_fresh(gs: &GroundingState) -> Vec<Model> {
-        let mut ss = SolverState::new();
-        resolve_on_state(gs, &mut ss, &CancelToken::never()).unwrap()
+        resolve(gs, &mut SolverState::new(), &CancelToken::never())
     }
 
     #[test]
@@ -592,7 +550,7 @@ mod tests {
         let p = family_program(&[1, 2, 3]);
         let mut gs = GroundingState::new(&p);
         let mut ss = SolverState::new();
-        let first = resolve_on_state(&gs, &mut ss, &CancelToken::never()).unwrap();
+        let first = resolve(&gs, &mut ss, &CancelToken::never());
         assert_eq!(&first, &stable_models(gs.ground_program()));
         let misses_before = ss.stats().partition_misses;
         assert_eq!(ss.stats().partition_hits, 0);
@@ -600,7 +558,7 @@ mod tests {
         // A fourth family only adds one component; the three cached ones
         // are reused verbatim.
         gs.add_fact_named("r", [i(4)]).unwrap();
-        let second = resolve_on_state(&gs, &mut ss, &CancelToken::never()).unwrap();
+        let second = resolve(&gs, &mut ss, &CancelToken::never());
         assert_eq!(&second, &stable_models(gs.ground_program()));
         assert_eq!(ss.stats().partition_hits, 3);
         assert_eq!(ss.stats().partition_misses, misses_before + 1);
@@ -609,7 +567,7 @@ mod tests {
         // new solves at all.
         let r = gs.program().pred_id("r").unwrap();
         gs.remove_facts([(r, vec![i(4)])]);
-        let third = resolve_on_state(&gs, &mut ss, &CancelToken::never()).unwrap();
+        let third = resolve(&gs, &mut ss, &CancelToken::never());
         assert_eq!(third, first);
         assert_eq!(ss.stats().partition_misses, misses_before + 1);
     }
@@ -643,14 +601,14 @@ mod tests {
         .unwrap();
         let mut gs = GroundingState::new(&p);
         let mut ss = SolverState::new();
-        let first = resolve_on_state(&gs, &mut ss, &CancelToken::never()).unwrap();
+        let first = resolve(&gs, &mut ss, &CancelToken::never());
         assert_eq!(&first, &stable_models(gs.ground_program()));
 
         // Retract a link: rules over it leave the ground program, and any
         // stored clause premised on them must go too.
         let link = gs.program().pred_id("link").unwrap();
         gs.remove_facts([(link, vec![i(2), i(3)])]);
-        let second = resolve_on_state(&gs, &mut ss, &CancelToken::never()).unwrap();
+        let second = resolve(&gs, &mut ss, &CancelToken::never());
         assert_eq!(&second, &stable_models(gs.ground_program()));
         for sc in &ss.clauses {
             for r in &sc.rules {
@@ -677,7 +635,7 @@ mod tests {
                 let r = gs.program().pred_id("r").unwrap();
                 gs.remove_facts([(r, vec![i(9)])]);
             }
-            let got = resolve_on_state(&gs, &mut ss, &CancelToken::never()).unwrap();
+            let got = resolve(&gs, &mut ss, &CancelToken::never());
             assert_eq!(got, stable_models(gs.ground_program()), "round {round}");
         }
         assert!(ss.stats().partition_hits > 0);
@@ -713,7 +671,7 @@ mod tests {
         }
         // The same state finishes the job under a fresh token.
         let fresh = CancelToken::never();
-        let got = resolve_on_state(&gs, &mut ss, &fresh).unwrap();
+        let got = resolve(&gs, &mut ss, &fresh);
         assert_eq!(got, stable_models(gs.ground_program()));
     }
 

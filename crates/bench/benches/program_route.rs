@@ -29,19 +29,39 @@
 //! * `solve/N` — stable-model enumeration over the (cached) ground
 //!   program with the CDCL learning solver: the downstream consumer whose
 //!   input the grounder feeds.
-//! * `resolve_delta/N` — the ISSUE-8 closer for the 13× solver gap: a
-//!   **warmed** [`SolverState`] (per-partition model cache, learned
-//!   clauses, warm heuristics) re-answering after a single-fact delta.
-//!   The state clone + delta reground run in untimed setup; the timed
-//!   region is [`resolve_on_state`] alone. `bench_check` enforces
-//!   `resolve_delta/800 ≤ 0.25 × solve/800` within the same run — the
-//!   incremental solver must beat from-scratch enumeration at least 4×,
-//!   matching the insert/delete grounder gates.
+//! * `resolve_delta/N` — a **warmed** [`SolverState`] (per-component
+//!   model memo, learned clauses, warm heuristics) re-answering after a
+//!   single-fact delta. The state clone + delta reground run in untimed
+//!   setup; the timed region is [`resolve_on_state`] plus forming the
+//!   whole-program models from its per-component lists
+//!   ([`cqa_bench::whole_models`]), so it answers what `solve/N` answers.
+//!   `bench_check` enforces `resolve_delta/800 ≤ 0.25 × solve/800`
+//!   within the same run — the incremental solver must beat from-scratch
+//!   enumeration at least 4×, matching the insert/delete grounder gates.
+//!
+//! Three more series time the whole program route,
+//! [`repairs_via_program_governed`], on perfbench's `churn` shape
+//! ([`cqa_bench::churn_workload`]: 2000 rows, 16 repairs), as the
+//! `Database` facade calls it:
+//!
+//! * `churn_after_write/2000` — a warm call right after a one-row write:
+//!   the calls alternate between the instance and a copy with one more
+//!   row, so each regrounds one row and re-solves one component.
+//! * `churn_unchanged/2000` — the same warm call on an unchanged instance
+//!   (no reground; every component hits the solver's memo).
+//! * `churn_fresh/2000` — the call on a fresh [`CqaCaches`]: grounding
+//!   and solving from scratch.
+//!
+//! `bench_check` enforces `churn_after_write/2000 ≤ 0.25 ×
+//! churn_fresh/2000`: what a warm call pays beyond its reground and
+//! re-solve (reading each repair off the models and building it) must
+//! stay a small part of a cold call.
 
 use cqa_asp::{resolve_on_state, stable_models, GroundingState, SolverState};
 use cqa_bench::harness::Harness;
-use cqa_core::ProgramStyle;
-use cqa_relational::{s, CancelToken};
+use cqa_bench::whole_models;
+use cqa_core::{repairs_via_program_governed, CqaCaches, ProgramStyle};
+use cqa_relational::{s, CancelToken, Instance};
 use std::hint::black_box;
 
 fn program_route() {
@@ -129,11 +149,9 @@ fn program_route() {
                 (state, warmed.clone())
             },
             |(state, mut solver)| {
-                black_box(
-                    resolve_on_state(&state, &mut solver, &CancelToken::never())
-                        .unwrap()
-                        .len(),
-                )
+                let components =
+                    resolve_on_state(&state, &mut solver, &CancelToken::never()).unwrap();
+                black_box(whole_models(&components).len())
             },
         );
     }
@@ -145,7 +163,51 @@ fn program_route() {
         "  delete reground/scratch ratio at clean={}: {delete_ratio_at_largest:.3} (target: <= 0.25)",
         sizes.last().unwrap()
     );
+    churn_shape(&mut group);
     group.finish();
+}
+
+/// The program route end to end on the churn shape: warm after a one-row
+/// write, warm on an unchanged instance, and cold.
+fn churn_shape(group: &mut Harness) {
+    let w = cqa_bench::churn_workload(2000, 4, 51);
+    let ics = w.ics;
+    let call = |d: &Instance, caches: &CqaCaches| {
+        repairs_via_program_governed(
+            d,
+            &ics,
+            ProgramStyle::Corrected,
+            false,
+            caches,
+            &CancelToken::never(),
+        )
+        .unwrap()
+        .len()
+    };
+    let mut written = w.instance.clone();
+    written.insert_named("r", [s("c1"), s("v7")]).unwrap();
+    let pair = [w.instance, written];
+    let caches = CqaCaches::new();
+    assert_eq!(call(&pair[0], &caches), 16);
+    let mut next = 0;
+    let after_write = group
+        .bench("churn_after_write/2000", || {
+            next ^= 1;
+            black_box(call(&pair[next], &caches))
+        })
+        .median_ns;
+    group.bench("churn_unchanged/2000", || {
+        black_box(call(&pair[next], &caches))
+    });
+    let fresh = group
+        .bench("churn_fresh/2000", || {
+            black_box(call(&pair[0], &CqaCaches::new()))
+        })
+        .median_ns;
+    println!(
+        "  churn warm-after-write/fresh ratio at 2000 rows: {:.3} (target: <= 0.25)",
+        after_write as f64 / fresh.max(1) as f64
+    );
 }
 
 fn main() {

@@ -45,8 +45,11 @@ pub struct Harness {
     results: Vec<BenchResult>,
 }
 
-/// Iteration count and sample count for a payload whose single run took
-/// `once_ns`: aim at ~20 ms per sample, at least one iteration, fewer
+/// Untimed calls made before a series is sized; the fastest sizes it.
+const CALIBRATION_CALLS: usize = 3;
+
+/// Iteration count and sample count for a payload whose fastest untimed
+/// run took `once_ns`: aim at ~20 ms per sample, at least one iteration, fewer
 /// samples for very slow payloads — but never fewer than five. A median
 /// of two samples is just the slower of two runs, which once recorded a
 /// 2.8x-inflated baseline for `repair_parallel/threads/2` (302 ms median
@@ -59,6 +62,15 @@ fn calibrate(once_ns: u128) -> (u64, usize) {
     let iters: u64 = (TARGET_SAMPLE_NS / once_ns).clamp(1, 1_000_000) as u64;
     let samples: usize = if once_ns > 200_000_000 { 5 } else { 7 };
     (iters, samples)
+}
+
+/// The fastest of [`CALIBRATION_CALLS`] untimed runs of `once`, which
+/// makes one call and returns its nanoseconds.
+fn fastest(mut once: impl FnMut() -> u128) -> u128 {
+    (0..CALIBRATION_CALLS)
+        .map(|_| once())
+        .min()
+        .expect("CALIBRATION_CALLS > 0")
 }
 
 /// Format nanoseconds human-readably.
@@ -87,13 +99,18 @@ impl Harness {
 
     /// Time `f`, auto-calibrating iterations to roughly 20 ms per sample
     /// (minimum one iteration; slow payloads get fewer samples). The
-    /// sample loop times whole iteration batches with one clock read —
-    /// the lowest-overhead form, right for self-contained payloads.
+    /// iteration count comes from the fastest of three (`CALIBRATION_CALLS`)
+    /// untimed calls (which also warm caches and lazy indexes), so one
+    /// slow first call — paying for the heap the previous series left —
+    /// does not shrink the series. The sample loop times whole iteration
+    /// batches with one clock read — the lowest-overhead form, right for
+    /// self-contained payloads.
     pub fn bench<T>(&mut self, name: impl Into<String>, mut f: impl FnMut() -> T) -> &BenchResult {
-        // Calibration run (also warms caches and lazy indexes).
-        let t0 = Instant::now();
-        black_box(f());
-        let (iters, samples) = calibrate(t0.elapsed().as_nanos());
+        let (iters, samples) = calibrate(fastest(|| {
+            let t0 = Instant::now();
+            black_box(f());
+            t0.elapsed().as_nanos()
+        }));
 
         let mut per_iter: Vec<u128> = Vec::with_capacity(samples);
         for _ in 0..samples {
@@ -110,18 +127,20 @@ impl Harness {
     /// *outside* the timed region and hands its value to `f` — for
     /// payloads that consume state (e.g. applying a delta to a cloned
     /// grounding) whose preparation cost must not pollute the series.
-    /// Pays two clock reads per iteration instead of per batch.
+    /// Pays two clock reads per iteration instead of per batch. Calibrated
+    /// like [`Harness::bench`], on the timed part of each untimed call.
     pub fn bench_with_setup<S, T>(
         &mut self,
         name: impl Into<String>,
         mut setup: impl FnMut() -> S,
         mut f: impl FnMut(S) -> T,
     ) -> &BenchResult {
-        // Calibration run (also warms caches).
-        let s0 = setup();
-        let t0 = Instant::now();
-        black_box(f(s0));
-        let (iters, samples) = calibrate(t0.elapsed().as_nanos());
+        let (iters, samples) = calibrate(fastest(|| {
+            let s = setup();
+            let t0 = Instant::now();
+            black_box(f(s));
+            t0.elapsed().as_nanos()
+        }));
 
         let mut per_iter: Vec<u128> = Vec::with_capacity(samples);
         for _ in 0..samples {

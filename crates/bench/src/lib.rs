@@ -13,9 +13,40 @@
 
 pub mod harness;
 
+use cqa_asp::stable::Model;
+use cqa_asp::ComponentModels;
 use cqa_constraints::{builders, v, Constraint, Ic, IcSet};
 use cqa_relational::testing::XorShift;
 use cqa_relational::{s, Instance, Schema, Value};
+
+/// The whole-program stable models behind [`cqa_asp::resolve_on_state`]'s
+/// per-component lists: one model from each component, united, over every
+/// choice, sorted — what [`cqa_asp::stable_models`] returns for the same
+/// ground program. For the suites and benches that compare or time whole
+/// models; the library itself never forms this product. A one-model
+/// component extends every model in place, so `k` such components cost
+/// their atoms once, not `k²` copies.
+pub fn whole_models(components: &[ComponentModels]) -> Vec<Model> {
+    let mut out = vec![Model::new()];
+    for models in components {
+        match &models[..] {
+            [] => return Vec::new(),
+            [only] => out.iter_mut().for_each(|m| m.extend(only.iter().copied())),
+            _ => {
+                out = out
+                    .iter()
+                    .flat_map(|prefix| {
+                        models
+                            .iter()
+                            .map(move |m| prefix.iter().chain(m).copied().collect())
+                    })
+                    .collect()
+            }
+        }
+    }
+    out.sort();
+    out
+}
 
 /// A generated workload.
 pub struct Workload {
@@ -148,6 +179,59 @@ pub fn example19_scaled(
     ics.push(builders::functional_dependency(&schema, "R", &[0], 1).expect("static"));
     ics.push(builders::foreign_key(&schema, "S", &[1], "R", &[0]).expect("static"));
     ics.push(builders::not_null(&schema, "R", 0).expect("static"));
+    Workload { instance, ics }
+}
+
+/// The shape of perfbench's `churn` register: `r(k, v)` with a primary
+/// key on `k`, a blocklist `b(v)` and the denial `r(k, v) ∧ b(v) → false`,
+/// `rows` rows in all. Each of `hit_blocks` blocked values is carried by
+/// two rows, so there are `2^hit_blocks` repairs (drop a value's rows or
+/// its `b` row); 12 more blocked values are carried by no row, and the
+/// other rows carry one of 500 clean values.
+pub fn churn_workload(rows: usize, hit_blocks: usize, seed: u64) -> Workload {
+    const KEYS_PER_BLOCK: usize = 2;
+    const IDLE_BLOCKS: usize = 12;
+    let schema = Schema::builder()
+        .relation("r", ["k", "v"])
+        .relation("b", ["v"])
+        .finish()
+        .expect("static schema")
+        .into_shared();
+    let mut rng = XorShift::new(seed);
+    let mut instance = Instance::empty(schema.clone());
+    for block in 0..hit_blocks {
+        for i in 0..KEYS_PER_BLOCK {
+            instance
+                .insert_named(
+                    "r",
+                    [s(&format!("x{block}_{i}")), s(&format!("bad{block}"))],
+                )
+                .expect("arity");
+        }
+    }
+    for i in hit_blocks * KEYS_PER_BLOCK..rows {
+        instance
+            .insert_named(
+                "r",
+                [s(&format!("k{i}")), s(&format!("v{}", rng.below(500)))],
+            )
+            .expect("arity");
+    }
+    for block in 0..hit_blocks + IDLE_BLOCKS {
+        instance
+            .insert_named("b", [s(&format!("bad{block}"))])
+            .expect("arity");
+    }
+    let denial = Ic::builder(&schema, "blocked")
+        .body_atom("r", [v("k"), v("v")])
+        .body_atom("b", [v("v")])
+        .finish()
+        .expect("static");
+    let mut ics: IcSet = builders::primary_key(&schema, "r", &[0])
+        .expect("static")
+        .into_iter()
+        .collect();
+    ics.push(denial);
     Workload { instance, ics }
 }
 

@@ -52,8 +52,12 @@
 //! comparing — full instances. The pipeline ends in one crate-internal
 //! call that hands out the repairs *as Δs*, in discovery order:
 //!
-//! * [`repairs`] and its siblings materialise each repair (base + Δ) and
-//!   sort by atom list — the public, pinned order;
+//! * [`repairs`] and its siblings sort the Δs by the atom lists they
+//!   denote — the public, pinned order, read off the Δs without building
+//!   any repair ([`cqa_relational::repair_order`]) — and then materialise
+//!   each repair as D with its Δ applied
+//!   ([`Instance::with_delta`], which shares every relation the Δ leaves
+//!   alone and registers no index);
 //! * enumeration CQA ([`crate::cqa`]) never materialises: it applies each
 //!   Δ to one working copy of D, evaluates the query and reverts the Δ, so
 //!   a read costs the search plus one evaluation per repair, not a copy
@@ -77,7 +81,7 @@ use cqa_constraints::{
     violation_active, violations_touching, Constraint, IcSet, SatMode, Term, Violation,
     ViolationKind,
 };
-use cqa_relational::{CancelToken, DatabaseAtom, Delta, Instance, Tuple, Value};
+use cqa_relational::{repair_order, CancelToken, DatabaseAtom, Delta, Instance, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Which repair semantics to apply.
@@ -194,7 +198,7 @@ pub fn repairs_with_trace_governed(
     cancel: &CancelToken,
 ) -> Result<Vec<TracedRepair>, CoreError> {
     let minimal = minimal_repair_deltas(d, ics, config, caches, cancel)?;
-    Ok(materialise(d, &minimal))
+    Ok(materialise(d, minimal))
 }
 
 /// The repairs of `d` as Δ(D, repair), each with the trace that first
@@ -246,25 +250,20 @@ pub(crate) fn minimal_repair_deltas(
         .collect())
 }
 
-/// Materialise the minimal repairs (base + Δ) and pin the public order:
-/// by atom list. Distinct repairs have distinct atom lists (equal-delta
+/// Pin the public order of the minimal repairs, by atom list, read off
+/// their Δs ([`repair_order`]), then materialise each as D with its Δ
+/// applied ([`Instance::with_delta`]: untouched relations shared with D,
+/// no index registered). Distinct repairs have distinct Δs (equal-delta
 /// candidates were deduplicated), so the order is total.
-fn materialise(d: &Instance, minimal: &[(Delta, Vec<RepairStep>)]) -> Vec<TracedRepair> {
-    let mut keyed: Vec<(Vec<DatabaseAtom>, TracedRepair)> = minimal
-        .iter()
-        .map(|(delta, steps)| {
-            let mut instance = d.clone();
-            instance.apply_delta(delta);
-            let key: Vec<DatabaseAtom> = instance.atoms().collect();
-            let repair = TracedRepair {
-                instance,
-                steps: steps.clone(),
-            };
-            (key, repair)
+fn materialise(d: &Instance, mut minimal: Vec<(Delta, Vec<RepairStep>)>) -> Vec<TracedRepair> {
+    minimal.sort_by(|a, b| repair_order(d, &a.0, &b.0));
+    minimal
+        .into_iter()
+        .map(|(delta, steps)| TracedRepair {
+            instance: d.with_delta(&delta),
+            steps,
         })
-        .collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    keyed.into_iter().map(|(_, repair)| repair).collect()
+        .collect()
 }
 
 /// The symmetric difference a decision set denotes: decisions never flip
@@ -316,107 +315,81 @@ impl Search<'_> {
         Ok(())
     }
 
-    /// Incremental search: the worklist carries every violation that may
-    /// still be live; each node re-validates lazily until it finds one to
-    /// branch on ([`expand`]), and each branch applies its single-atom
-    /// delta to `current` in place, recurses with that delta as the
-    /// child's `touch`, and reverts it.
+    /// Incremental search. A node extends the inherited `worklist` with
+    /// the violations touching `touch` (the delta that created it, already
+    /// applied to `current`; `None` at the root), then revalidates it
+    /// lazily until one violation is live. If none is, the node is a
+    /// consistent fixpoint. Otherwise each viable fix of that violation, in
+    /// fix order, applies its single-atom delta to `current` in place,
+    /// recurses with that delta as the child's `touch` and the rest of the
+    /// worklist, and reverts it.
     fn run_incremental(
         &mut self,
         current: &mut Instance,
-        worklist: Vec<Violation>,
+        mut worklist: Vec<Violation>,
         touch: Option<&Delta>,
         decisions: &mut BTreeMap<DatabaseAtom, RepairAction>,
         trace: &mut Vec<RepairStep>,
     ) -> Result<(), CoreError> {
         self.charge_node()?;
-        let semantics = self.config.semantics;
-        let Some((branches, rest)) =
-            expand(current, self.ics, semantics, worklist, touch, decisions)
+        let ics = self.ics;
+        if let Some(delta) = touch {
+            for v in violations_touching(current, ics, delta, SatMode::NullAware) {
+                if !worklist.contains(&v) {
+                    worklist.push(v);
+                }
+            }
+        }
+        let mut pending = worklist.into_iter();
+        // Entries fixed by an ancestor decision drop out here.
+        let Some(violation) =
+            pending.find(|v| violation_active(current, ics, v, SatMode::NullAware))
         else {
             self.candidates.push((delta_of(decisions), trace.clone()));
             return Ok(());
         };
-        for (delta, step) in branches {
-            let atom = step.atom.clone();
+        let rest: Vec<Violation> = pending.collect();
+        let constraint = ics.constraints()[violation.constraint_index].name();
+        for fix in fixes_for(ics, self.config.semantics, &violation) {
+            let (action, atom) = match fix {
+                Fix::Delete(atom) => (RepairAction::Delete, atom),
+                Fix::Insert(atom) => (RepairAction::Insert, atom),
+            };
+            // Decisions never flip: an inserted atom is protected, a deleted
+            // one is ruled out on this branch.
+            if decisions.get(&atom).is_some_and(|&made| made != action) {
+                continue;
+            }
+            let delta = match action {
+                RepairAction::Insert => {
+                    debug_assert!(
+                        !current.contains(&atom),
+                        "insert fix must not already be present"
+                    );
+                    Delta::insertion(atom.clone())
+                }
+                RepairAction::Delete => Delta::deletion(atom.clone()),
+            };
             let fresh = !decisions.contains_key(&atom);
             if fresh {
-                decisions.insert(atom.clone(), step.action);
+                decisions.insert(atom.clone(), action);
             }
-            trace.push(step);
+            trace.push(RepairStep {
+                constraint: constraint.to_string(),
+                action,
+                atom,
+            });
             current.apply_delta(&delta);
             let res = self.run_incremental(current, rest.clone(), Some(&delta), decisions, trace);
             current.revert_delta(&delta);
-            trace.pop();
+            let step = trace.pop().expect("pushed above");
             if fresh {
-                decisions.remove(&atom);
+                decisions.remove(&step.atom);
             }
             res?;
         }
         Ok(())
     }
-}
-
-/// One viable fix of a node's live violation: its single-atom delta and
-/// the step the trace records.
-type Branch = (Delta, RepairStep);
-
-/// Expand one search node. Extend the inherited `worklist` with the
-/// violations touching `touch` (the delta that created the node, already
-/// applied to `current`; `None` at the root), then revalidate it lazily
-/// until one violation is live. `None` means none is: the node is a
-/// consistent fixpoint. Otherwise return the live violation's viable
-/// branches in fix order and the rest of the worklist, which every child
-/// inherits.
-fn expand(
-    current: &Instance,
-    ics: &IcSet,
-    semantics: RepairSemantics,
-    mut worklist: Vec<Violation>,
-    touch: Option<&Delta>,
-    decisions: &BTreeMap<DatabaseAtom, RepairAction>,
-) -> Option<(Vec<Branch>, Vec<Violation>)> {
-    if let Some(delta) = touch {
-        for v in violations_touching(current, ics, delta, SatMode::NullAware) {
-            if !worklist.contains(&v) {
-                worklist.push(v);
-            }
-        }
-    }
-    let mut pending = worklist.into_iter();
-    // Entries fixed by an ancestor decision drop out here.
-    let violation = pending.find(|v| violation_active(current, ics, v, SatMode::NullAware))?;
-    let rest: Vec<Violation> = pending.collect();
-    let constraint = ics.constraints()[violation.constraint_index].name();
-    let mut branches = Vec::new();
-    for fix in fixes_for(ics, semantics, &violation) {
-        let (action, atom) = match fix {
-            Fix::Delete(atom) => (RepairAction::Delete, atom),
-            Fix::Insert(atom) => (RepairAction::Insert, atom),
-        };
-        // Decisions never flip: an inserted atom is protected, a deleted
-        // one is ruled out on this branch.
-        if decisions.get(&atom).is_some_and(|&made| made != action) {
-            continue;
-        }
-        let delta = match action {
-            RepairAction::Insert => {
-                debug_assert!(
-                    !current.contains(&atom),
-                    "insert fix must not already be present"
-                );
-                Delta::insertion(atom.clone())
-            }
-            RepairAction::Delete => Delta::deletion(atom.clone()),
-        };
-        let step = RepairStep {
-            constraint: constraint.to_string(),
-            action,
-            atom,
-        };
-        branches.push((delta, step));
-    }
-    Some((branches, rest))
 }
 
 /// The minimal fixes for a violation, in deterministic order: deletions

@@ -66,15 +66,45 @@
 //! * **Per-query extension.** CQA appends its `ans__q` rules to a *clone*
 //!   of the cached state ([`cqa_asp::GroundingState::add_rule`]), so
 //!   query rules never pollute the shared grounding.
+//!
+//! ## Repairs as Δ over D
+//!
+//! Definition 10 reads a repair off a stable model as its `t**` atoms.
+//! [`repairs_via_program_governed`] reads only what a model changes:
+//!
+//! * **Δ per component.** The solver returns each connected component's
+//!   stable models ([`cqa_asp::resolve_on_state`]). In a component model
+//!   a fact `P(ā)` whose `P_tss(ā)` is false is a deletion, and a true
+//!   `P_tss(ā)` with no fact `P(ā)` is an insertion. The rule
+//!   `P_ts(ā) ← P(ā)` puts all of `P(ā)`'s atoms in one component, so the
+//!   model alone decides and no lookup in D is needed. Relations without
+//!   a `t**` predicate (pruned) read nothing: they are the same in every
+//!   repair.
+//! * **Product of the changes only.** A component with one model (most of
+//!   them: every row no constraint conflicts with) adds its Δ to one
+//!   shared Δ once. The others each offer their Δs, deduplicated, and
+//!   only those lists are multiplied. Components share no atom, so
+//!   distinct choices are distinct repairs.
+//! * **Order and fork.** The repairs are sorted in the pinned atom-list
+//!   order read off their Δs ([`cqa_relational::repair_order`]), and only
+//!   then materialised, each as D with its Δ applied
+//!   ([`Instance::with_delta`]): every relation the Δ leaves alone is
+//!   shared with D, a touched one is copied once, and no index is
+//!   registered.
 
 use crate::cache::CqaCaches;
 use crate::error::{CoreError, InterruptPhase};
+use cqa_asp::stable::Model;
 use cqa_asp::{
-    atom, cmp, neg, pos, resolve_on_state, tc, tv, AspError, AtomSpec, BodyLit, BuiltinOp, Program,
+    atom, cmp, neg, pos, resolve_on_state, tc, tv, AspError, AtomSpec, BodyLit, BuiltinOp,
+    GroundProgram, Program,
 };
 use cqa_constraints::{classify::classify, Constraint, Ic, IcClass, IcSet, Term};
-use cqa_relational::{CancelToken, DatabaseAtom, Instance, RelId, Schema, Tuple, Value};
-use std::collections::BTreeMap;
+use cqa_relational::{
+    repair_order, CancelToken, DatabaseAtom, Delta, Instance, RelId, Schema, Tuple, Value,
+};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which variant of the repair program to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -112,8 +142,8 @@ pub fn repair_program(
 /// relations that occur in some constraint. Untouched relations cannot
 /// change in any repair, so their rules are dead weight in the ground
 /// program — this is the program-optimisation direction of Caniupán &
-/// Bertossi (reference \[12\] of the paper). Use
-/// [`extract_instance_with_base`] to read models of pruned programs.
+/// Bertossi (reference \[12\] of the paper). [`repairs_via_program`]
+/// reads pruned relations as unchanged: they have no `t**` atoms.
 pub fn repair_program_with(
     d: &Instance,
     ics: &IcSet,
@@ -415,44 +445,8 @@ fn to_asp_op(op: cqa_constraints::CmpOp) -> BuiltinOp {
 pub fn extract_instance(
     schema: &std::sync::Arc<Schema>,
     program: &Program,
-    gp: &cqa_asp::GroundProgram,
-    model: &cqa_asp::stable::Model,
-) -> Result<Instance, CoreError> {
-    extract(schema, None, program, gp, model)
-}
-
-/// Like [`extract_instance`], but relations without a `t**` predicate in
-/// the program (pruned, unconstrained relations) are copied verbatim from
-/// the original instance — they cannot change in any repair. A row the
-/// repair keeps from `base` shares `base`'s tuple (a reference-count
-/// bump), so the repairs of one instance hold one copy of the rows they
-/// share, and dropping them frees no tuple that `base` still holds.
-pub fn extract_instance_with_base(
-    base: &Instance,
-    program: &Program,
-    gp: &cqa_asp::GroundProgram,
-    model: &cqa_asp::stable::Model,
-) -> Result<Instance, CoreError> {
-    let schema = base.schema();
-    let mut inst = extract(schema, Some(base), program, gp, model)?;
-    for (rel, decl) in schema.iter() {
-        if program.pred_id(&annotated(decl.name(), "tss")).is_none() {
-            for t in base.relation(rel) {
-                inst.insert(rel, t.clone())?;
-            }
-        }
-    }
-    Ok(inst)
-}
-
-/// The `t**` atoms of `model` as an instance; a row found in `base` is
-/// taken from it rather than allocated anew.
-fn extract(
-    schema: &std::sync::Arc<Schema>,
-    base: Option<&Instance>,
-    program: &Program,
-    gp: &cqa_asp::GroundProgram,
-    model: &cqa_asp::stable::Model,
+    gp: &GroundProgram,
+    model: &Model,
 ) -> Result<Instance, CoreError> {
     // Map tss predicate ids back to relations.
     let mut tss_to_rel: BTreeMap<cqa_asp::PredId, RelId> = BTreeMap::new();
@@ -465,20 +459,66 @@ fn extract(
     for &atom_id in model {
         let ga = gp.atom(atom_id);
         if let Some(&rel) = tss_to_rel.get(&ga.pred) {
-            let kept = base.and_then(|b| b.relation(rel).get(ga.args.as_slice()));
-            let tuple = kept.map_or_else(|| Tuple::new(ga.args.iter().cloned()), Tuple::clone);
-            inst.insert(rel, tuple)?;
+            inst.insert(rel, Tuple::new(ga.args.iter().cloned()))?;
         }
     }
     Ok(inst)
+}
+
+/// What an atom of Π(D, IC) says about the database atom with the same
+/// arguments, for reading a repair's Δ off a stable model.
+#[derive(Debug, Clone, Copy)]
+enum Reading {
+    /// `P(ā)`, a fact: `P(ā)` is in D.
+    Fact(RelId),
+    /// `P_tss(ā)` (`t**`): `P(ā)` is in the repair.
+    Kept(RelId),
+}
+
+/// Each predicate's [`Reading`], by predicate index. A relation without a
+/// `t**` predicate (pruned) reads nothing.
+fn readings(schema: &Schema, program: &Program) -> Vec<Option<Reading>> {
+    let mut out = vec![None; program.pred_count()];
+    for (rel, decl) in schema.iter() {
+        if let Some(kept) = program.pred_id(&annotated(decl.name(), "tss")) {
+            out[kept.index()] = Some(Reading::Kept(rel));
+            if let Some(fact) = program.pred_id(decl.name()) {
+                out[fact.index()] = Some(Reading::Fact(rel));
+            }
+        }
+    }
+    out
+}
+
+/// Δ(D, D_M) over one component model: a fact `P(ā)` whose `P_tss(ā)` is
+/// false is a deletion, a true `P_tss(ā)` with no fact `P(ā)` an
+/// insertion. Facts are true in every model, and `P_ts(ā) ← P(ā)` puts
+/// both atoms in the fact's component, so the model alone decides.
+fn model_delta(gp: &GroundProgram, readings: &[Option<Reading>], model: &Model) -> Delta {
+    let mut facts: BTreeSet<(RelId, &[Value])> = BTreeSet::new();
+    let mut kept: BTreeSet<(RelId, &[Value])> = BTreeSet::new();
+    for &id in model {
+        let atom = gp.atom(id);
+        match readings.get(atom.pred.index()).copied().flatten() {
+            Some(Reading::Fact(rel)) => facts.insert((rel, &atom.args)),
+            Some(Reading::Kept(rel)) => kept.insert((rel, &atom.args)),
+            None => false,
+        };
+    }
+    let to_atom =
+        |&(rel, args): &(RelId, &[Value])| DatabaseAtom::new(rel, Tuple::new(args.iter().copied()));
+    Delta {
+        removed: facts.difference(&kept).map(to_atom).collect(),
+        inserted: kept.difference(&facts).map(to_atom).collect(),
+    }
 }
 
 /// The repairs of `d` according to the stable models of Π(D, IC)
 /// (Theorem 4: for RIC-acyclic IC these are exactly the repairs), over
 /// an optionally pruned program ([`repair_program_with`]). Distinct
 /// stable models can map to the same instance only in the paper-exact
-/// corner cases; the result is de-duplicated and sorted. One-shot: a
-/// fresh [`CqaCaches`] bundle and no deadline.
+/// corner cases; the result is de-duplicated and sorted by atom list.
+/// One-shot: a fresh [`CqaCaches`] bundle and no deadline.
 pub fn repairs_via_program(
     d: &Instance,
     ics: &IcSet,
@@ -500,15 +540,26 @@ pub fn repairs_via_program(
 /// [`crate::cache::GroundingCache`]: a repeat call over an unchanged
 /// instance reuses the ground program, and any bounded drift —
 /// insertions, deletions, or both — regrounds incrementally. The stable
-/// models come from the incremental resolve path: the ground program is
-/// split into connected components, unchanged components are answered
+/// models come from the incremental resolve path, one list per connected
+/// component of the ground program: unchanged components are answered
 /// from the [`cqa_asp::SolverState`] paired with the cached grounding,
 /// and only changed components are re-solved (reusing learned clauses
-/// whose rule premises survived). The token is polled by the grounding
-/// loops ([`CoreError::Interrupted`] with
-/// `Grounding`), the CDCL stable-model enumeration, and the per-model
-/// extraction (both `ModelEnumeration`, `partial` counting models fully
-/// processed).
+/// whose rule premises survived).
+///
+/// Each repair is carried as its Δ over `d` until the last step (module
+/// docs, "Repairs as Δ over D"): each component model's Δ is read off its
+/// `P` / `P_tss` atom pairs, one-model components fold into one shared Δ,
+/// and only the multi-model components' deduplicated Δ lists are
+/// multiplied. The Δs are sorted by the atom lists they denote and each
+/// is materialised as a fork of `d` ([`Instance::with_delta`]), sharing
+/// every relation it leaves alone and registering no index.
+///
+/// The token is polled by the grounding loops ([`CoreError::Interrupted`]
+/// with `Grounding`), the CDCL stable-model enumeration, the Δ loop, the
+/// product, the order and the materialisation (all `ModelEnumeration`;
+/// `partial` counts the components solved, or the component lists read,
+/// the repairs formed or the repairs materialised in the stage the token
+/// tripped in).
 pub fn repairs_via_program_governed(
     d: &Instance,
     ics: &IcSet,
@@ -517,43 +568,93 @@ pub fn repairs_via_program_governed(
     caches: &CqaCaches,
     cancel: &CancelToken,
 ) -> Result<Vec<Instance>, CoreError> {
+    let interrupted = |partial| CoreError::Interrupted {
+        phase: InterruptPhase::ModelEnumeration,
+        partial,
+    };
     let (state, solver) =
         caches
             .grounding
             .entry_for_governed(d, ics, style, prune_untouched, cancel)?;
-    let gp = state.ground_program();
     let mut solver = solver.lock().expect("solver state lock");
-    let models = resolve_on_state(&state, &mut solver, cancel).map_err(|e| match e {
-        AspError::Interrupted { partial, .. } => CoreError::Interrupted {
-            phase: InterruptPhase::ModelEnumeration,
-            partial,
-        },
+    let components = resolve_on_state(&state, &mut solver, cancel).map_err(|e| match e {
+        AspError::Interrupted { partial, .. } => interrupted(partial),
         other => CoreError::Asp(other),
     })?;
     drop(solver);
-    let mut repairs = Vec::with_capacity(models.len());
-    for m in &models {
+
+    // One Δ per component model. A one-model component adds its Δ to
+    // `fixed`; the others each offer their distinct Δs.
+    let (gp, readings) = (
+        state.ground_program(),
+        readings(d.schema(), state.program()),
+    );
+    let mut fixed = Delta::default();
+    let mut choices: Vec<Vec<Delta>> = Vec::new();
+    for (read, models) in components.iter().enumerate() {
         if cancel.is_cancelled() {
-            return Err(CoreError::Interrupted {
-                phase: InterruptPhase::ModelEnumeration,
-                partial: repairs.len(),
-            });
+            return Err(interrupted(read));
         }
-        repairs.push(extract_instance_with_base(d, state.program(), gp, m)?);
+        let mut deltas: Vec<Delta> = models
+            .iter()
+            .map(|m| model_delta(gp, &readings, m))
+            .collect();
+        deltas.sort_unstable();
+        deltas.dedup();
+        match deltas.len() {
+            // A component without a model: the program has none.
+            0 => return Ok(Vec::new()),
+            1 => {
+                let only = deltas.pop().expect("one Δ");
+                fixed.removed.extend(only.removed);
+                fixed.inserted.extend(only.inserted);
+            }
+            _ => choices.push(deltas),
+        }
     }
-    // Free the models before the keys exist, so the two never share
-    // the peak.
-    drop(models);
-    // Each repair keyed by its atom list, collected once. Equal lists
-    // mean equal instances, so sorting on the key and dropping equal
-    // neighbours both orders and de-duplicates.
-    let mut keyed: Vec<(Vec<DatabaseAtom>, Instance)> = repairs
-        .into_iter()
-        .map(|inst| (inst.atoms().collect(), inst))
-        .collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    keyed.dedup_by(|a, b| a.0 == b.0);
-    Ok(keyed.into_iter().map(|(_, inst)| inst).collect())
+    drop(components);
+
+    // One repair per choice of a Δ from each multi-model component.
+    // Components share no atom, so distinct choices are distinct repairs.
+    let mut repairs = vec![fixed];
+    for options in &choices {
+        let mut next = Vec::with_capacity(repairs.len().saturating_mul(options.len()));
+        for prefix in &repairs {
+            if cancel.is_cancelled() {
+                return Err(interrupted(next.len()));
+            }
+            for option in options {
+                let mut delta = prefix.clone();
+                delta.removed.extend(option.removed.iter().cloned());
+                delta.inserted.extend(option.inserted.iter().cloned());
+                next.push(delta);
+            }
+        }
+        repairs = next;
+    }
+
+    // The pinned order, read off the Δs; a tripped token makes every
+    // remaining comparison a no-op.
+    let mut tripped = false;
+    repairs.sort_by(|a, b| {
+        tripped = tripped || cancel.is_cancelled();
+        if tripped {
+            Ordering::Equal
+        } else {
+            repair_order(d, a, b)
+        }
+    });
+    if tripped {
+        return Err(interrupted(0));
+    }
+    let mut out = Vec::with_capacity(repairs.len());
+    for delta in &repairs {
+        if cancel.is_cancelled() {
+            return Err(interrupted(out.len()));
+        }
+        out.push(d.with_delta(delta));
+    }
+    Ok(out)
 }
 
 /// The argument type of [`repairs_via_program_solved`]. It has no field:
@@ -665,9 +766,12 @@ mod tests {
 
     #[test]
     fn program_repairs_share_the_rows_they_keep() {
-        let (_, d, ics) = example19();
+        let (sc, d, ics) = example19();
+        // An index on D that a clone of D would carry into every repair.
+        let (r, s_rel) = (sc.rel_id("R").unwrap(), sc.rel_id("S").unwrap());
+        d.index_on(r, 0);
         let reps = repairs_via_program(&d, &ics, ProgramStyle::Corrected, false).unwrap();
-        let (mut kept, mut inserted) = (0, 0);
+        let (mut kept, mut inserted, mut shared) = (0, 0, 0);
         for rep in &reps {
             for atom in rep.atoms() {
                 match d.relation(atom.rel).get(atom.tuple.values()) {
@@ -678,10 +782,19 @@ mod tests {
                     None => inserted += 1,
                 }
             }
+            for rel in [r, s_rel] {
+                assert!(rep.indexed_columns(rel).is_empty());
+                assert!(rep.indexed_column_sets(rel).is_empty());
+                // A relation the repair leaves alone is D's own.
+                if rep.relation(rel) == d.relation(rel) {
+                    assert!(std::ptr::eq(rep.relation(rel), d.relation(rel)));
+                    shared += 1;
+                }
+            }
         }
         // The four repairs keep 3 + 3 + 2 + 2 rows of D, and two of them
-        // insert R(f, null).
-        assert_eq!((kept, inserted), (10, 2));
+        // insert R(f, null); those two leave S alone.
+        assert_eq!((kept, inserted, shared), (10, 2, 2));
     }
 
     #[test]

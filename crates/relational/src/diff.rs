@@ -3,6 +3,9 @@
 use crate::atom::DatabaseAtom;
 use crate::error::RelationalError;
 use crate::instance::Instance;
+use crate::schema::RelId;
+use crate::tuple::Tuple;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// The symmetric difference `Δ(D, D′) = (D ∖ D′) ∪ (D′ ∖ D)` split by
@@ -63,6 +66,78 @@ impl Delta {
     pub fn subset_of(&self, other: &Delta) -> bool {
         self.removed.is_subset(&other.removed) && self.inserted.is_subset(&other.inserted)
     }
+}
+
+/// The pinned order of two repairs of `base` given as their Δs: the order
+/// of the atom lists of `base + a` and `base + b` ([`Instance::atoms`]
+/// collected into a `Vec`), computed without materialising either. Both
+/// Δs must be over `base`: `removed ⊆ base` and `inserted` disjoint from
+/// it. The result is `Equal` exactly when `a == b`.
+///
+/// The two atom lists agree up to the smallest atom `x` of `a △ b`, which
+/// only one of the repairs holds. Its list reads `x` where the other's
+/// reads the other's next atom, which is larger, so it comes first —
+/// unless the other repair has no atom above `x`, so that its list is a
+/// prefix of the holder's and comes first instead. The other repair's
+/// largest atom settles which.
+pub fn repair_order(base: &Instance, a: &Delta, b: &Delta) -> Ordering {
+    let (mut xs, mut ys) = (ascending(a).peekable(), ascending(b).peekable());
+    // The smallest atom of a △ b, and whether repair `a` holds it.
+    let (x, in_a) = loop {
+        match (xs.peek(), ys.peek()) {
+            (None, None) => return Ordering::Equal,
+            (Some(x), Some(y)) if x == y => {
+                xs.next();
+                ys.next();
+            }
+            // Only in Δa: repair a holds it iff a inserts it.
+            (Some(&x), Some(&y)) if x < y => break (x, a.inserted.contains(x)),
+            (Some(&x), None) => break (x, a.inserted.contains(x)),
+            // Only in Δb: repair a holds it iff b deletes it.
+            (_, Some(&y)) => break (y, b.removed.contains(y)),
+        }
+    };
+    let other = if in_a { b } else { a };
+    let holder_first = match last_atom(base, other) {
+        Some(last) if last > (x.rel, &x.tuple) => Ordering::Less,
+        _ => Ordering::Greater,
+    };
+    if in_a {
+        holder_first
+    } else {
+        holder_first.reverse()
+    }
+}
+
+/// The atoms of `delta` in ascending order: `removed` and `inserted`
+/// merged.
+fn ascending(delta: &Delta) -> impl Iterator<Item = &DatabaseAtom> {
+    let (mut removed, mut inserted) = (
+        delta.removed.iter().peekable(),
+        delta.inserted.iter().peekable(),
+    );
+    std::iter::from_fn(move || match (removed.peek(), inserted.peek()) {
+        (Some(r), Some(i)) if i < r => inserted.next(),
+        (Some(_), _) => removed.next(),
+        (None, _) => inserted.next(),
+    })
+}
+
+/// The largest atom of `base + delta`: the larger of `delta`'s largest
+/// insertion and `base`'s largest atom that `delta` does not delete.
+fn last_atom<'a>(base: &'a Instance, delta: &'a Delta) -> Option<(RelId, &'a Tuple)> {
+    let mut removed = delta.removed.iter().rev().peekable();
+    let kept = (0..base.schema().len())
+        .rev()
+        .map(|i| RelId(i as u32))
+        .flat_map(|rel| base.relation(rel).iter().rev().map(move |t| (rel, t)))
+        .find(|&(rel, t)| {
+            // Both walks descend, so the deleted atoms come up in order.
+            while removed.next_if(|r| (r.rel, &r.tuple) > (rel, t)).is_some() {}
+            removed.next_if(|r| r.rel == rel && &r.tuple == t).is_none()
+        });
+    let inserted = delta.inserted.last().map(|a| (a.rel, &a.tuple));
+    kept.max(inserted)
 }
 
 /// A *directed* instance drift `base → target`: the atoms the target
@@ -150,6 +225,7 @@ pub fn delta(d: &Instance, d_prime: &Instance) -> Result<Delta, RelationalError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::XorShift;
     use crate::{i, s, Schema};
     use std::sync::Arc;
 
@@ -290,6 +366,73 @@ mod tests {
         // Extreme fraction arguments must not overflow the products.
         assert!(swap.exceeds_fraction_of(&small, 0, usize::MAX));
         assert!(!swap.exceeds_fraction_of(&small, usize::MAX, 1));
+    }
+
+    /// Over random small bases, the Δ order of every pair of repairs
+    /// equals the `Vec<DatabaseAtom>` order of the two materialised
+    /// instances, and reads `Equal` exactly when the Δs are equal. The Δs
+    /// include the empty one, one deleting the base's largest atom, one
+    /// inserting above it and random mixes.
+    #[test]
+    fn repair_order_equals_atom_list_order() {
+        let sc = schema();
+        let (p, q) = (sc.rel_id("P").unwrap(), sc.rel_id("Q").unwrap());
+        let values = [i(1), i(2), s("a")];
+        // Every atom over the domain: 3 of P, then 9 of Q, ascending.
+        let universe: Vec<DatabaseAtom> = values
+            .iter()
+            .map(|&v| DatabaseAtom::new(p, Tuple::new([v])))
+            .chain(values.iter().flat_map(|&x| {
+                values
+                    .iter()
+                    .map(move |&y| DatabaseAtom::new(q, Tuple::new([x, y])))
+            }))
+            .collect();
+        let mut rng = XorShift::new(7001);
+        for round in 0..300 {
+            let mut base = Instance::empty(sc.clone());
+            for atom in &universe {
+                if rng.chance(1, 3) {
+                    base.insert(atom.rel, atom.tuple.clone()).unwrap();
+                }
+            }
+            let largest = base.atoms().last();
+            let mut deltas = vec![Delta::default()];
+            if let Some(top) = &largest {
+                deltas.push(Delta::deletion(top.clone()));
+            }
+            if let Some(above) = universe.iter().find(|a| largest.as_ref() < Some(a)) {
+                deltas.push(Delta::insertion(above.clone()));
+            }
+            for _ in 0..5 {
+                let mut delta = Delta::default();
+                for atom in &universe {
+                    if base.contains(atom) {
+                        if rng.chance(1, 3) {
+                            delta.removed.insert(atom.clone());
+                        }
+                    } else if rng.chance(1, 4) {
+                        delta.inserted.insert(atom.clone());
+                    }
+                }
+                deltas.push(delta);
+            }
+            let lists: Vec<Vec<DatabaseAtom>> = deltas
+                .iter()
+                .map(|delta| {
+                    let mut repair = base.clone();
+                    repair.apply_delta(delta);
+                    repair.atoms().collect()
+                })
+                .collect();
+            for (a, list_a) in deltas.iter().zip(&lists) {
+                for (b, list_b) in deltas.iter().zip(&lists) {
+                    let order = repair_order(&base, a, b);
+                    assert_eq!(order, list_a.cmp(list_b), "round {round}: {a:?} vs {b:?}");
+                    assert_eq!(order.is_eq(), a == b, "round {round}: {a:?} vs {b:?}");
+                }
+            }
+        }
     }
 
     #[test]

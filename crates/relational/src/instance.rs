@@ -252,6 +252,33 @@ impl Instance {
         );
     }
 
+    /// `self` with `delta` applied, as a new instance: how a repair is
+    /// built from its Δ. Every relation `delta` leaves alone is shared with
+    /// `self`, and each one it touches is copied once. Unlike a clone
+    /// followed by [`Instance::apply_delta`], the result registers no
+    /// index, so none of `self`'s indexes is copied. `delta` must be over
+    /// `self` (see [`crate::diff::repair_order`]).
+    pub fn with_delta(&self, delta: &Delta) -> Instance {
+        let mut relations = self.relations.clone();
+        let mut changed = false;
+        for a in &delta.removed {
+            changed |= Arc::make_mut(&mut relations[a.rel.index()]).remove(&a.tuple);
+        }
+        for a in &delta.inserted {
+            changed |= Arc::make_mut(&mut relations[a.rel.index()]).insert(a.tuple.clone());
+        }
+        Instance {
+            schema: self.schema.clone(),
+            relations,
+            indexes: IndexStore::default(),
+            version: if changed {
+                fresh_version()
+            } else {
+                self.version
+            },
+        }
+    }
+
     /// The extension of a relation, by name.
     pub fn relation_named(&self, name: &str) -> Result<&Relation, RelationalError> {
         Ok(self.relation(self.schema.require(name)?))
@@ -471,6 +498,28 @@ mod tests {
             Instance::empty(schema()).version(),
             Instance::empty(schema()).version()
         );
+    }
+
+    #[test]
+    fn with_delta_shares_untouched_relations_and_registers_no_index() {
+        let mut d = Instance::empty(schema());
+        d.insert_named("P", [s("a"), s("b")]).unwrap();
+        d.insert_named("R", [i(1)]).unwrap();
+        let (p, r) = (p(&d), d.schema().rel_id("R").unwrap());
+        d.index_on(r, 0);
+        let mut delta = Delta::deletion(DatabaseAtom::new(r, Tuple::new(vec![i(1)])));
+        delta
+            .inserted
+            .insert(DatabaseAtom::new(r, Tuple::new(vec![i(2)])));
+        let repair = d.with_delta(&delta);
+        let mut oracle = d.clone();
+        oracle.apply_delta(&delta);
+        assert_eq!(repair, oracle);
+        assert!(std::ptr::eq(repair.relation(p), d.relation(p)));
+        assert!(repair.indexed_columns(r).is_empty());
+        assert_ne!(repair.version(), d.version());
+        // An empty Δ changes nothing, so the stamp may stay.
+        assert_eq!(d.with_delta(&Delta::default()).version(), d.version());
     }
 
     #[test]

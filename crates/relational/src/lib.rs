@@ -42,7 +42,7 @@ pub mod value;
 
 pub use atom::DatabaseAtom;
 pub use cancel::{CancelToken, Cancelled};
-pub use diff::{delta, Delta, InstanceDelta};
+pub use diff::{delta, repair_order, Delta, InstanceDelta};
 pub use error::RelationalError;
 pub use index::{Candidates, ColsKey, ColumnIndex, CompositeIndex, IndexBuild};
 pub use instance::{Instance, Relation};

@@ -12,19 +12,22 @@
 //!
 //! And it pins **Δ-based enumeration CQA**: evaluating each repair as
 //! D + Δ on one working copy must answer exactly what materialising every
-//! repair and intersecting its answers does.
+//! repair and intersecting its answers does; and the **program route's Δ
+//! reading**: repairs read as Δs off the component models must equal
+//! extracting, sorting and deduplicating whole-model instances.
 
-use cqa::asp::{ground, GroundingState};
+use cqa::asp::{ground, stable_models, GroundingState};
 use cqa::constraints::{builders, graph, v, CmpOp, Constraint, Ic, IcSet};
+use cqa::core::program::extract_instance;
 use cqa::core::query::{qc, AnswerSemantics};
 use cqa::core::{
     consistent_answers, consistent_answers_enumerated_governed, consistent_answers_via_program,
-    repair_program, repairs, repairs_via_program, AnswerSet, ConjunctiveQuery, CqaCaches,
-    ProgramStyle, Query, RepairConfig,
+    repair_program, repair_program_with, repairs, repairs_via_program, AnswerSet, ConjunctiveQuery,
+    CqaCaches, ProgramStyle, Query, RepairConfig,
 };
 use cqa::prelude::*;
 use cqa::relational::testing::XorShift;
-use cqa::relational::CancelToken;
+use cqa::relational::{CancelToken, DatabaseAtom};
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -272,6 +275,59 @@ fn delta_enumeration_equals_materialise_and_intersect() {
         }
     }
     assert!(nonempty >= 200, "only {nonempty} non-empty answers");
+}
+
+/// The program route's old path, kept only as the oracle: the
+/// whole-program stable models of the scratch grounding, one
+/// `extract_instance` per model (relations without a `t**` predicate,
+/// pruned ones, copied from `d`), sorted and deduplicated by atom list.
+fn extract_sort_and_dedup(
+    d: &Instance,
+    ics: &IcSet,
+    style: ProgramStyle,
+    prune: bool,
+) -> Vec<Instance> {
+    let program = repair_program_with(d, ics, style, prune).unwrap();
+    let gp = ground(&program);
+    let mut keyed: Vec<(Vec<DatabaseAtom>, Instance)> = stable_models(&gp)
+        .iter()
+        .map(|m| {
+            let mut inst = extract_instance(d.schema(), &program, &gp, m).unwrap();
+            for (rel, decl) in d.schema().iter() {
+                if program.pred_id(&format!("{}_tss", decl.name())).is_none() {
+                    for t in d.relation(rel) {
+                        inst.insert(rel, t.clone()).unwrap();
+                    }
+                }
+            }
+            (inst.atoms().collect(), inst)
+        })
+        .collect();
+    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+    keyed.dedup_by(|a, b| a.0 == b.0);
+    keyed.into_iter().map(|(_, inst)| inst).collect()
+}
+
+/// `repairs_via_program` reads each repair as a Δ over D off the
+/// component models, orders the Δs and only then builds the instances.
+/// It must return exactly the instances, in exactly the order, of the
+/// extract-sort-dedup oracle, over the constraint pool, both program
+/// styles and pruning on and off.
+#[test]
+fn program_repairs_equal_extract_sort_and_dedup() {
+    let sc = schema();
+    let mut rng = XorShift::new(408);
+    for round in 0..64 {
+        let d = instance(&mut rng, &sc);
+        let ics = acyclic_subset(&mut rng, &sc);
+        for style in [ProgramStyle::Corrected, ProgramStyle::PaperExact] {
+            for prune in [false, true] {
+                let want = extract_sort_and_dedup(&d, &ics, style, prune);
+                let got = repairs_via_program(&d, &ics, style, prune).unwrap();
+                assert_eq!(got, want, "round {round}, {style:?}, prune {prune}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -1,11 +1,13 @@
 //! Oracle suite for the incremental stable-model solver (ISSUE 8).
 //!
 //! [`resolve_on_state`] carries a [`SolverState`] — per-partition model
-//! cache, premise-tagged learned clauses, warm heuristics — across
+//! memo, premise-tagged learned clauses, warm heuristics — across
 //! reground deltas. None of that state may ever be observable in the
 //! answer: after ANY churn sequence, resolving on the long-lived state
 //! must equal resolving on a fresh state, which in turn must equal the
 //! monolithic (unpartitioned) enumeration over the same ground program.
+//! `resolve_on_state` returns each component's models; the suite forms
+//! the whole-program models from them with [`whole_models`].
 //!
 //! Randomness is the workspace's deterministic [`XorShift`]; the
 //! instance/constraint generators mirror `engine_vs_program.rs` so the
@@ -17,6 +19,7 @@ use cqa::core::{repair_program, ProgramStyle};
 use cqa::prelude::*;
 use cqa::relational::testing::XorShift;
 use cqa::CancelToken;
+use cqa_bench::whole_models;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -147,8 +150,10 @@ fn delta_aware_resolve_equals_fresh_resolve_under_churn() {
             let mut live = SolverState::new();
             for step in 0..6 {
                 churn(&mut state, &mut rng, round, step);
-                let via_live = resolve_on_state(&state, &mut live, &cancel).unwrap();
-                let via_fresh = resolve_on_state(&state, &mut SolverState::new(), &cancel).unwrap();
+                let via_live = whole_models(&resolve_on_state(&state, &mut live, &cancel).unwrap());
+                let via_fresh = whole_models(
+                    &resolve_on_state(&state, &mut SolverState::new(), &cancel).unwrap(),
+                );
                 assert_eq!(via_live, via_fresh, "round {round}, step {step}, {style:?}");
             }
             // The long-lived state must actually have exercised the cache
@@ -174,7 +179,8 @@ fn partitioned_resolve_equals_monolithic_over_constraint_pool() {
             let program = repair_program(&d, &ics, style).unwrap();
             let state = GroundingState::new(&program);
             let monolithic = stable_models_cancellable(state.ground_program(), &cancel).unwrap();
-            let partitioned = resolve_on_state(&state, &mut SolverState::new(), &cancel).unwrap();
+            let partitioned =
+                whole_models(&resolve_on_state(&state, &mut SolverState::new(), &cancel).unwrap());
             assert_eq!(partitioned, monolithic, "round {round}, {style:?}");
         }
     }
